@@ -12,7 +12,8 @@ or campaign state survives from an earlier pass.
 fault plan (the ``fit --chaos`` path) with the campaign sharded over two
 worker processes, and validates against a fault-free session of the same
 device. The worker pool is shut down at the end of every pass, so each
-pass starts its workers cold too.
+pass starts its workers cold too. The host-speed probe pauses while the
+sharded campaign runs (see hostspeed.py).
 
 The program's ``TraceRecorder`` is never attached here: with telemetry on,
 the sharded campaign takes a different executor, so a traced run would
@@ -22,11 +23,13 @@ reports; times come from the benchmark's own spans.
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from dataclasses import dataclass
 from time import perf_counter
 from typing import Optional
 
 from perfbench.common import DEVICES, PassResult
+from perfbench.hostspeed import quiet
 from perfbench.tracing import Tracer
 from repro.analysis.validation import validate_model
 from repro.core.dataset import collect_campaign
@@ -34,7 +37,7 @@ from repro.core.estimation import ModelEstimator
 from repro.core.perf_estimation import PerformanceEstimator
 from repro.driver.faults import FaultPlan
 from repro.driver.session import ProfilingSession
-from repro.errors import EstimationError
+from repro.errors import EstimationError, PersistentDriverError
 from repro.experiments.fewshot import TABLE3_BANDS_PERCENT
 from repro.hardware.gpu import SimulatedGPU
 from repro.hardware.specs import gpu_spec_by_name
@@ -91,7 +94,7 @@ class DeviceOutcome:
 def _calibrate(state: CalibrateState, spec, tracer: Tracer) -> DeviceOutcome:
     chaos = state.fault_plan is not None
     session = ProfilingSession(SimulatedGPU(spec, fault_plan=state.fault_plan))
-    with tracer.span("campaign.collect"):
+    with tracer.span("campaign.collect"), quiet() if chaos else nullcontext():
         dataset, campaign = collect_campaign(
             session, state.suite, workers=CHAOS_WORKERS if chaos else 0
         )
@@ -103,10 +106,11 @@ def _calibrate(state: CalibrateState, spec, tracer: Tracer) -> DeviceOutcome:
             _, outcome.perf = PerformanceEstimator(
                 dataset, session, state.perf_kernels
             ).estimate()
-    except EstimationError as error:
+    except (EstimationError, PersistentDriverError) as error:
         # A fault plan can leave a campaign the estimator cannot fit
-        # (e.g. Tesla K40c under seeds 53 and 57): a failed operation,
-        # not a wrong answer.
+        # (e.g. Tesla K40c under seeds 53 and 57), or fail one of the
+        # runtime fit's event collections past its retries (Tesla K40c
+        # under seed 106): a failed operation, not a wrong answer.
         outcome.error = f"{type(error).__name__}: {error}"
         return outcome
     if chaos:

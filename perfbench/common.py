@@ -3,7 +3,11 @@
 from __future__ import annotations
 
 import math
+import os
 import resource
+import signal
+import sys
+import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Sequence
 
@@ -62,3 +66,73 @@ def peak_rss_mb() -> float:
     own = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
     children = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss
     return (own + children) / 1024.0
+
+
+def _child_pids() -> List[int]:
+    """Processes whose parent is this one, from ``/proc``."""
+    me = os.getpid()
+    pids = []
+    try:
+        entries = os.listdir("/proc")
+    except OSError:
+        return pids
+    for entry in entries:
+        if not entry.isdigit():
+            continue
+        try:
+            with open(f"/proc/{entry}/stat") as handle:
+                stat = handle.read()
+        except OSError:
+            continue
+        # Fields after the parenthesised command: state, ppid, ...
+        if int(stat.rsplit(")", 1)[1].split()[1]) == me:
+            pids.append(int(entry))
+    return pids
+
+
+def _reap(pid: int, deadline: float) -> bool:
+    """Wait for ``pid`` until ``deadline``; True once it has ended."""
+    while True:
+        try:
+            done, _ = os.waitpid(pid, os.WNOHANG)
+        except ChildProcessError:
+            return True
+        if done:
+            return True
+        if time.monotonic() >= deadline:
+            return False
+        time.sleep(0.01)
+
+
+def stop_children(grace_s: float = 5.0) -> None:
+    """Stop every process this run started and wait for each to end.
+
+    The sharded campaign leaves a worker pool, and its shared-memory
+    transport starts multiprocessing's resource tracker, a process that
+    otherwise outlives the run. The pool is shut down first: forked
+    workers hold the tracker's pipe open, and the tracker only ends once
+    every holder has closed it. Then the tracker is asked to stop (it
+    releases any leaked segment), and whatever child is still alive gets
+    SIGTERM, then SIGKILL after ``grace_s``.
+    """
+    pool = sys.modules.get("repro.parallel.pool")
+    if pool is not None:
+        pool.shutdown_shared_pool()
+    tracker = sys.modules.get("multiprocessing.resource_tracker")
+    stop = getattr(getattr(tracker, "_resource_tracker", None), "_stop", None)
+    if stop is not None:
+        stop()
+    pids = _child_pids()
+    for pid in pids:
+        try:
+            os.kill(pid, signal.SIGTERM)
+        except ProcessLookupError:
+            pass
+    deadline = time.monotonic() + grace_s
+    for pid in pids:
+        if not _reap(pid, deadline):
+            try:
+                os.kill(pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
+            _reap(pid, float("inf"))

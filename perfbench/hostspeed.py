@@ -6,7 +6,7 @@ drift with it. A fixed probe, fired by a timer every ``PERIOD_S`` while a
 run is measured, samples the host's speed *during* each timed window.
 A window's time is then reported as::
 
-    (wall seconds - seconds in the probe) * REFERENCE_PROBE_S / median probe
+    (wall seconds - seconds in the probe) * REFERENCE_PROBE_S / mean probe
 
 that is, in seconds on a host where the probe takes ``REFERENCE_PROBE_S``.
 The probe is the benchmark's own code: small-array NumPy arithmetic, the
@@ -14,26 +14,52 @@ program's commonest operation, timed after an untimed warm-up so that its
 data is in cache whatever the interrupted work was doing. A change to the
 program cannot move it. Raw seconds are kept in each run's record.
 
+The scale uses the *mean* probe time of a window, not its median. The
+host switches between a fast and a slow state for seconds at a time, so
+probe times are bimodal (about 0.085 ms and 0.15 ms on the 2-core host
+the benchmark was tuned on); a window's median jumps between the two
+modes as their shares cross one half, while its mean follows the
+time-averaged speed the window's work saw. Over 52 passes of ``schedule``
+and 53 of ``calibrate``, the spread of 3- to 5-pass medians was
+0.19-0.29 unnormalized, 0.13-0.23 scaled by the median probe and
+0.03-0.05 scaled by the mean.
+
 The timer is per process: worker processes are not probed, but they run on
-the same host and drift with it.
+the same host and drift with it. While this process's own workers hold
+the cores (inside :func:`quiet`), the probe would time the contention
+with them rather than the host, so it does not sample.
 """
 
 from __future__ import annotations
 
 import signal
+from contextlib import contextmanager
+from statistics import fmean
 from time import perf_counter
-from typing import List, Tuple
+from typing import Iterator, List, Tuple
 
 import numpy as np
-
-from perfbench.common import median
 
 #: Probe interval. At ~0.25 ms per probe this costs about 1 % of a pass.
 PERIOD_S = 0.025
 #: Probe seconds on the reference host; sets the scale of reported times.
 REFERENCE_PROBE_S = 0.0002
-#: Windows with fewer samples use the whole run's median probe.
+#: Windows with fewer samples use the whole run's mean probe.
 MIN_SAMPLES = 5
+
+#: Depth of nested :func:`quiet` blocks; the probe skips while above 0.
+_quiet_depth = 0
+
+
+@contextmanager
+def quiet() -> Iterator[None]:
+    """Suspend probing while this process's own workers hold the cores."""
+    global _quiet_depth
+    _quiet_depth += 1
+    try:
+        yield
+    finally:
+        _quiet_depth -= 1
 
 
 class HostSpeed:
@@ -52,6 +78,8 @@ class HostSpeed:
         return total
 
     def _probe(self, signum, frame) -> None:
+        if _quiet_depth:
+            return
         start = perf_counter()
         self._steps(8)
         timed = perf_counter()
@@ -68,11 +96,11 @@ class HostSpeed:
         signal.setitimer(signal.ITIMER_REAL, 0, 0)
         signal.signal(signal.SIGALRM, self._previous)
 
-    def median_probe(self, start: float = 0.0, end: float = float("inf")) -> float:
+    def mean_probe(self, start: float = 0.0, end: float = float("inf")) -> float:
         inside = [probe for t, _, probe in self.samples if start <= t < end]
         if len(inside) < MIN_SAMPLES:
             inside = [probe for _, _, probe in self.samples]
-        return median(inside)
+        return fmean(inside)
 
     def unprobed(self, start: float, end: float) -> float:
         """Seconds of the window ``[start, end)`` not spent in the probe."""
@@ -84,4 +112,4 @@ class HostSpeed:
 
     def scale(self, start: float, end: float) -> float:
         """Factor from this host's seconds to reference-host seconds."""
-        return REFERENCE_PROBE_S / self.median_probe(start, end)
+        return REFERENCE_PROBE_S / self.mean_probe(start, end)

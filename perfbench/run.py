@@ -26,6 +26,7 @@ import json
 import os
 import platform
 import shutil
+import signal
 import sys
 from pathlib import Path
 from time import perf_counter
@@ -37,9 +38,12 @@ WORKLOADS = ("calibrate", "calibrate-chaos", "serve", "schedule")
 
 #: A run sets up at least SETUP_REPEATS times and for at least
 #: SETUP_PHASE_S; ``setup_s`` is the median. Calibration set-up takes
-#: milliseconds, so it repeats a few hundred times.
+#: milliseconds, so it repeats several hundred times. The phase spans
+#: a few of the host's fast and slow spells (see hostspeed.py): over a
+#: 0.5 s phase the scale caught one spell, and ``setup_s`` of
+#: ``calibrate-chaos`` split into two modes 25 % apart.
 SETUP_REPEATS = 3
-SETUP_PHASE_S = 0.5
+SETUP_PHASE_S = 2.0
 
 #: What is cold in every pass and what stays warm from set-up.
 CACHE_STATE = {
@@ -206,6 +210,10 @@ def _per_layer(plain, traced) -> dict:
     return values
 
 
+def _terminate(signum, frame) -> None:
+    raise SystemExit(128 + signum)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--workload", choices=WORKLOADS, required=True)
@@ -226,6 +234,17 @@ def main(argv=None) -> int:
         os.environ[variable] = BLAS_THREADS
     sys.path.insert(0, str(ROOT / "src"))
     sys.path.insert(0, str(ROOT))
+    from perfbench.common import stop_children
+
+    # Every way out, a SIGTERM included, stops the processes the run began.
+    signal.signal(signal.SIGTERM, _terminate)
+    try:
+        return _run(args)
+    finally:
+        stop_children()
+
+
+def _run(args) -> int:
     from perfbench.hostspeed import HostSpeed
 
     with open(ROOT / "BENCHMARK.json") as handle:
@@ -265,7 +284,7 @@ def main(argv=None) -> int:
         "latency_samples": sum(len(p.latencies_ms) for p in plain),
         "headline": headline,
         "raw_pass_walls_s": [p.wall_s for p in plain],
-        "probe_median_ms": speed.median_probe() * 1e3,
+        "probe_mean_ms": speed.mean_probe() * 1e3,
         "probe_samples": len(speed.samples),
         "deterministic": fixed,
         "deterministic_sha256": hashlib.sha256(
