@@ -128,10 +128,8 @@ from repro.serving import (
 )
 from repro.parallel import (
     DeviceSpec,
-    Shard,
     collect_campaign_sharded,
     collect_training_dataset_sharded,
-    partition_grid,
 )
 from repro.traffic import TrafficShape, sample_arrivals, shape_by_name
 from repro.cluster import (
@@ -202,7 +200,7 @@ __all__ = [
     "ModelRegistry", "PredictionEngine", "PredictionServer", "ServerConfig",
     "PredictionFleet", "FleetConfig", "FleetRouter",
     # sharded campaign
-    "DeviceSpec", "Shard", "partition_grid",
+    "DeviceSpec",
     "collect_campaign_sharded", "collect_training_dataset_sharded",
     # traffic shapes
     "TrafficShape", "shape_by_name", "sample_arrivals",

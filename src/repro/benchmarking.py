@@ -2,44 +2,45 @@
 
 Times the measurement campaign (`collect_training_dataset`), the model fit
 (`ModelEstimator.estimate`) and the Table-III validation sweep per device,
-for both the batched grid fast path and the legacy scalar walk, and writes
-the results to ``BENCH_pipeline.json`` so successive PRs accumulate a
-performance trajectory. ``benchmarks/bench_pipeline.py`` is a runnable
-wrapper around this module; ``python -m repro.cli bench`` reaches the same
-code.
+and writes the results to ``BENCH_pipeline.json`` so successive PRs
+accumulate a performance trajectory. ``benchmarks/bench_pipeline.py`` is a
+runnable wrapper around this module; ``python -m repro.cli bench`` reaches
+the same code.
 
 The recorded speedups are measured against two baselines:
 
-* ``speedup_vs_scalar`` — the scalar path of the *same* tree, re-timed in
-  the same run (``use_grid=False`` + ``vectorized=False``);
+* ``estimate_speedup_vs_scalar`` — the scalar estimator
+  (``vectorized=False``) of the *same* tree, re-timed in the same run on
+  the same dataset;
 * ``speedup_vs_seed`` — the pre-optimization tree, whose GTX Titan X
-  timings (~13 s collect, ~9 s estimate; see ISSUE 1) are kept as fixed
-  reference constants since that code no longer exists in the tree.
+  timings (~13 s collect, ~9 s estimate) are kept as fixed reference
+  constants since that code no longer exists in the tree.
 
 Alongside the timings, every run re-checks drop-in equivalence: the scalar
-and grid campaigns must produce identical training rows, and the scalar and
-vectorized estimators must agree on every fitted voltage and on the RMSE
-history (tolerance 1e-9; observed agreement is ~1e-15).
+and vectorized estimators must agree on every fitted voltage and on the
+RMSE history (tolerance 1e-9; observed agreement is ~1e-15), and the
+telemetry-on campaign must collect the same rows as the untraced one.
 
-Since ISSUE 3 the harness also times a telemetry-ON pass (a live
+The harness also times a telemetry-ON pass (a live
 ``TraceRecorder`` attached to the board and the estimator) and enforces the
 telemetry overhead guard: with telemetry *off*, GTX Titan X
 collect+estimate must stay within ``OVERHEAD_TOLERANCE`` (5%) of the PR 1
 recorded total, otherwise a :class:`BenchmarkRegression` is raised — the
 no-op recorder on the hot path must be free.
 
-Since ISSUE 5 a sharded-campaign pass (:mod:`repro.parallel`) re-collects
-the dataset and asserts it is bitwise identical to the serial grid
-campaign's. ISSUE 6 rebuilt that pass around the zero-copy columnar
-executor: each worker count in ``SHARDED_WORKER_COUNTS`` is timed against
-a **warm persistent pool** — one untimed warm-up campaign forks the
-workers and populates their per-process device caches first, since the
-steady state of repeated campaigns is exactly what the shared pool
-exists for — and the record reports both the node's ``os.cpu_count()``
-and the affinity-aware ``usable_cores``, plus whether the small-grid
-planner fell back to the serial path (``--quick`` grids do). An optional
-``--min-sharded-speedup`` turns ``speedup_vs_grid_collect`` into a hard
-gate (used by CI's perf-gate job on the large-grid devices).
+A sharded-campaign pass (:mod:`repro.parallel`) re-collects the dataset
+with the same measurement task split over worker processes and asserts it
+is bitwise identical to the serial columnar campaign's. Each worker count
+in ``SHARDED_WORKER_COUNTS`` is timed against a **warm persistent pool** —
+one untimed warm-up campaign forks the workers and populates their
+per-process device caches first, since the steady state of repeated
+campaigns is exactly what the shared pool exists for — and the record
+reports both the node's ``os.cpu_count()`` and the affinity-aware
+``usable_cores``, plus whether the small-grid planner fell back to the
+serial path (``--quick`` grids do). ``speedup_vs_grid_collect`` is the
+serial columnar campaign's collect time over the sharded one's; an
+optional ``--min-sharded-speedup`` turns it into a hard gate (used by CI's
+perf-gate job on the large-grid devices).
 
 :class:`BenchmarkRegression` is the shared currency of every perf gate in
 the repo: the serving loadgen's fleet gate
@@ -83,12 +84,9 @@ OVERHEAD_TOLERANCE = 0.05
 
 #: Worker counts of the sharded-campaign pass. Each is timed separately
 #: (warm pool); the record's top-level numbers come from
-#: ``PRIMARY_SHARDED_WORKERS`` and the full sweep lands in ``by_workers``.
-#: Two speedups are recorded per count: ``speedup_vs_serial_collect``
-#: against the scalar serial walk (the ISSUE 5 acceptance baseline) and
-#: ``speedup_vs_grid_collect`` against the batched grid fast path (the
-#: ISSUE 6 acceptance baseline — the columnar executor must beat it even
-#: on one core by doing strictly less work per cell).
+#: ``PRIMARY_SHARDED_WORKERS`` and the full sweep lands in ``by_workers``,
+#: each with its ``speedup_vs_grid_collect`` against the serial columnar
+#: campaign timed in the same run.
 SHARDED_WORKER_COUNTS = (2, 4)
 PRIMARY_SHARDED_WORKERS = 2
 
@@ -152,17 +150,10 @@ def bench_device(
         t3 = time.perf_counter()
         return (t1 - t0, t2 - t1, t3 - t2), dataset, model, report
 
-    def run_scalar():
-        gpu = SimulatedGPU(spec)
-        session = ProfilingSession(gpu)
+    def run_scalar_estimate(dataset):
         t0 = time.perf_counter()
-        dataset = collect_training_dataset(
-            session, kernels, configs, use_grid=False
-        )
-        t1 = time.perf_counter()
         model, report = ModelEstimator(dataset, vectorized=False).estimate()
-        t2 = time.perf_counter()
-        return (t1 - t0, t2 - t1), dataset, model, report
+        return time.perf_counter() - t0, model, report
 
     def run_traced():
         from repro.telemetry import TraceRecorder
@@ -175,7 +166,7 @@ def bench_device(
         t1 = time.perf_counter()
         ModelEstimator(dataset, recorder=recorder).estimate()
         t2 = time.perf_counter()
-        return (t1 - t0, t2 - t1)
+        return (t1 - t0, t2 - t1), dataset
 
     def run_sharded(workers):
         gpu = SimulatedGPU(spec)
@@ -198,11 +189,10 @@ def bench_device(
 
     scalar_times = []
     for _ in range(repeats):
-        times, dataset_s, model_s, report_s = run_scalar()
-        scalar_times.append(times)
-    scalar_collect, scalar_estimate = map(min, zip(*scalar_times))
+        seconds, model_s, report_s = run_scalar_estimate(dataset)
+        scalar_times.append(seconds)
+    scalar_estimate = min(scalar_times)
 
-    rows_identical = dataset.rows == dataset_s.rows
     voltage_diff = 0.0
     for config in model.known_configurations():
         a = model.voltage_at(config)
@@ -219,8 +209,12 @@ def bench_device(
         else float("inf")
     )
 
-    traced_times = [run_traced() for _ in range(repeats)]
+    traced_times = []
+    for _ in range(repeats):
+        times, dataset_t = run_traced()
+        traced_times.append(times)
     traced_collect, traced_estimate = map(min, zip(*traced_times))
+    rows_identical = dataset_t.rows == dataset.rows
 
     # Sharded columnar pass, one timing per worker count. The pool is
     # warmed (fork + per-worker device build) and one untimed campaign
@@ -255,14 +249,8 @@ def bench_device(
                 "fallback": bool(fallback),
                 "collect_seconds": round(sharded_collect, 4),
                 "rows_identical": bool(dataset_p.rows == dataset.rows),
-                # The ISSUE 5 acceptance baseline: vs the scalar serial
-                # walk, re-timed in this same run.
-                "speedup_vs_serial_collect": round(
-                    scalar_collect / sharded_collect, 2
-                ),
-                # The ISSUE 6 acceptance baseline: vs the batched grid
-                # fast path. The columnar executor beats it even on one
-                # core by skipping per-cell object construction.
+                # Vs the serial columnar campaign: the same measurement
+                # task on the whole grid, timed in this same run.
                 "speedup_vs_grid_collect": round(
                     fast_collect / sharded_collect, 2
                 ),
@@ -275,7 +263,6 @@ def bench_device(
     )
 
     fast_total = fast_collect + fast_estimate
-    scalar_total = scalar_collect + scalar_estimate
     traced_total = traced_collect + traced_estimate
     record: Dict[str, object] = {
         "device": spec.name,
@@ -288,11 +275,11 @@ def bench_device(
             "total_seconds": round(fast_total, 4),
         },
         "scalar": {
-            "collect_seconds": round(scalar_collect, 4),
             "estimate_seconds": round(scalar_estimate, 4),
-            "total_seconds": round(scalar_total, 4),
         },
-        "speedup_vs_scalar": round(scalar_total / fast_total, 2),
+        "estimate_speedup_vs_scalar": round(
+            scalar_estimate / fast_estimate, 2
+        ),
         "telemetry": {
             "collect_seconds": round(traced_collect, 4),
             "estimate_seconds": round(traced_estimate, 4),
@@ -367,8 +354,9 @@ def run_benchmark(
             f"{record['device']}: collect {fast['collect_seconds']:.2f}s + "
             f"estimate {fast['estimate_seconds']:.2f}s + "
             f"validate {fast['validate_seconds']:.2f}s "
-            f"(scalar path {record['scalar']['total_seconds']:.2f}s, "
-            f"{record['speedup_vs_scalar']:.1f}x; harness {elapsed:.1f}s)"
+            f"(scalar estimator {record['scalar']['estimate_seconds']:.2f}s, "
+            f"{record['estimate_speedup_vs_scalar']:.1f}x; "
+            f"harness {elapsed:.1f}s)"
         )
         if "speedup_vs_seed" in record:
             line += f" [vs seed baseline: {record['speedup_vs_seed']:.0f}x]"
@@ -384,8 +372,7 @@ def run_benchmark(
             line += (
                 f" [sharded x{sharded['workers']}: "
                 f"{sharded['collect_seconds']:.2f}s collect, "
-                f"{sharded['speedup_vs_grid_collect']:.1f}x vs grid, "
-                f"{sharded['speedup_vs_serial_collect']:.1f}x vs serial, "
+                f"{sharded['speedup_vs_grid_collect']:.1f}x vs serial, "
                 f"rows identical: {sharded['rows_identical']}]"
             )
         print(line)
@@ -408,9 +395,6 @@ def run_benchmark(
                 "device": SEED_BASELINE_DEVICE,
                 "workers": sharded["workers"],
                 "fallback": sharded["fallback"],
-                "speedup_vs_serial_collect": sharded[
-                    "speedup_vs_serial_collect"
-                ],
                 "speedup_vs_grid_collect": sharded[
                     "speedup_vs_grid_collect"
                 ],
@@ -438,13 +422,14 @@ def run_benchmark(
             if speedup < min_sharded_speedup:
                 raise BenchmarkRegression(
                     f"{device}: sharded collect at {entry['workers']} "
-                    f"workers reached only {speedup:.2f}x the grid fast "
-                    f"path, below the required {min_sharded_speedup:.2f}x"
+                    f"workers reached only {speedup:.2f}x the serial "
+                    f"columnar campaign, below the required "
+                    f"{min_sharded_speedup:.2f}x"
                 )
             if not entry["rows_identical"]:
                 raise BenchmarkRegression(
                     f"{device}: sharded collect at {entry['workers']} "
-                    "workers diverged from the serial grid campaign "
+                    "workers diverged from the serial columnar campaign "
                     "(rows_identical is false)"
                 )
     return report
@@ -479,7 +464,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         metavar="X",
         help=(
             "fail unless every non-fallback sharded pass reaches X times "
-            "the grid fast path (CI perf gate)"
+            "the serial columnar campaign (CI perf gate)"
         ),
     )
     args = parser.parse_args(argv)

@@ -508,7 +508,7 @@ def cmd_fewshot(args: argparse.Namespace) -> int:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
-    """Time the collect/estimate/validate pipeline (fast vs scalar path)."""
+    """Time the collect/estimate/validate pipeline (serial vs sharded)."""
     import json
     from pathlib import Path
 
@@ -960,7 +960,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="X",
         help="fail unless every non-fallback sharded pass reaches X times "
-        "the grid fast path (CI perf gate)",
+        "the serial columnar campaign (CI perf gate)",
     )
     bench.set_defaults(handler=cmd_bench)
 

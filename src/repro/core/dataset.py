@@ -9,6 +9,7 @@ in them touches the hidden ground truth.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -42,15 +43,14 @@ class TrainingRow:
 class DatasetColumns:
     """Merged column blocks of one campaign: the zero-copy SoA form.
 
-    One entry per usable row, flattened kernel-major (the serial campaign's
+    One entry per usable row, flattened kernel-major (the campaign's
     row order). ``kernel_indices[r]`` points into the per-kernel
     ``kernel_names``/``utilizations`` blocks; the frequency columns carry
     the *applied* clocks and ``quality_codes`` the
-    :data:`repro.driver.faults.QUALITY_BITS` bitmask. The sharded campaign
-    executor assembles these directly from the workers' shared-memory
-    column slices; :meth:`TrainingDataset.rows` materializes
-    :class:`TrainingRow` objects from them lazily — and bitwise-equal to
-    the pickled-row transport.
+    :data:`repro.driver.faults.QUALITY_BITS` bitmask. Every campaign,
+    serial or sharded, assembles these straight from its measured columns
+    (:func:`finish_campaign`); :meth:`TrainingDataset.rows` materializes
+    :class:`TrainingRow` objects from them lazily.
     """
 
     kernel_names: Tuple[str, ...]
@@ -87,7 +87,7 @@ class DatasetColumns:
         return len(self.kernel_indices)
 
     def materialize_rows(self) -> Tuple[TrainingRow, ...]:
-        """Rebuild the per-row objects, bitwise-equal to the serial rows."""
+        """Build the per-row objects, bitwise-equal to the columns."""
         config_cache: Dict[Tuple[float, float], FrequencyConfig] = {}
         rows: List[TrainingRow] = []
         for r in range(self.row_count):
@@ -112,13 +112,13 @@ class DatasetColumns:
 class TrainingDataset:
     """All observations used to estimate one device's model.
 
-    Two interchangeable constructions: from materialized ``rows`` (the
-    serial campaign) or from merged :class:`DatasetColumns` (the zero-copy
-    sharded campaign). In the columnar case the struct-of-arrays view the
-    estimator consumes is served straight from the column blocks and
-    :attr:`rows` materializes lazily on first access — rebuilt rows compare
-    bitwise-equal to the serial campaign's, so the two forms are
-    indistinguishable to every consumer (``==`` included).
+    Two interchangeable constructions: from merged :class:`DatasetColumns`
+    (every campaign) or from materialized ``rows`` (subsets, pickles). In
+    the columnar case the struct-of-arrays view the estimator consumes is
+    served straight from the column blocks and :attr:`rows` materializes
+    lazily on first access — rebuilt rows compare bitwise-equal to rows
+    built one by one, so the two forms are indistinguishable to every
+    consumer (``==`` included).
     """
 
     __slots__ = ("spec", "_rows", "_columns", "_soa_cache")
@@ -370,57 +370,6 @@ def _rebuild_dataset(
 
 
 @dataclass(frozen=True)
-class QualityTally:
-    """Row-quality counts of one campaign.
-
-    Computable from materialized rows (serial campaign) or straight from
-    the packed quality-code column (sharded campaign) — identical results
-    either way, since the codes round-trip losslessly through
-    :func:`repro.driver.faults.encode_quality`.
-    """
-
-    row_count: int
-    clean_rows: int
-    retried_rows: int
-    dropout_rows: int
-    throttle_injected_rows: int
-
-    @classmethod
-    def from_rows(cls, rows: Sequence[TrainingRow]) -> "QualityTally":
-        return cls(
-            row_count=len(rows),
-            clean_rows=sum(1 for row in rows if not row.quality),
-            retried_rows=sum(
-                1 for row in rows if faultlib.RETRIED in row.quality
-            ),
-            dropout_rows=sum(
-                1 for row in rows if faultlib.DROPOUTS in row.quality
-            ),
-            throttle_injected_rows=sum(
-                1 for row in rows if faultlib.THROTTLE_INJECTED in row.quality
-            ),
-        )
-
-    @classmethod
-    def from_codes(cls, codes: np.ndarray) -> "QualityTally":
-        codes = np.asarray(codes)
-        bits = faultlib.QUALITY_BITS
-        return cls(
-            row_count=int(codes.size),
-            clean_rows=int(np.count_nonzero(codes == 0)),
-            retried_rows=int(
-                np.count_nonzero(codes & bits[faultlib.RETRIED])
-            ),
-            dropout_rows=int(
-                np.count_nonzero(codes & bits[faultlib.DROPOUTS])
-            ),
-            throttle_injected_rows=int(
-                np.count_nonzero(codes & bits[faultlib.THROTTLE_INJECTED])
-            ),
-        )
-
-
-@dataclass(frozen=True)
 class CampaignReport:
     """Health record of one measurement campaign.
 
@@ -486,280 +435,365 @@ class CampaignReport:
         return "\n".join(lines)
 
 
-def build_campaign_report(
-    session: ProfilingSession,
-    spec: GPUSpec,
-    surviving_count: int,
-    config_count: int,
-    rows: Optional[Sequence[TrainingRow]] = None,
-    skipped_cells: Sequence[Tuple[str, FrequencyConfig]] = (),
-    skipped_kernels: Tuple[str, ...] = (),
-    stats_baseline: Tuple[int, int, int, int, int, int] = (0, 0, 0, 0, 0, 0),
-    backoff_before: float = 0.0,
-    quality: Optional[QualityTally] = None,
-) -> CampaignReport:
-    """Assemble a :class:`CampaignReport` from a campaign's outcome.
+_UNREADABLE_BIT = faultlib.QUALITY_BITS[faultlib.UNREADABLE]
 
-    Shared by the serial campaign and the sharded executor
-    (:mod:`repro.parallel.executor`): fault tallies are reported as deltas
-    of the session's stats against ``stats_baseline`` — the sharded path
-    folds its workers' tallies into the session first, so both paths
-    produce identical reports for identical campaigns. The quality counts
-    come from ``rows`` or, for the zero-copy columnar path (which never
-    materializes rows), from a precomputed ``quality`` tally.
+
+@dataclass(frozen=True)
+class KernelRowBlock:
+    """Profile + measure outcome of a run of whole kernel rows.
+
+    The campaign's unit of work (:func:`measure_kernel_rows`): the serial
+    campaign measures one block spanning the whole grid, the sharded
+    executor one per shard and concatenates them. ``utilizations[k]`` is
+    ``None`` when kernel ``k``'s event collection kept failing. The four
+    columns hold ``len(utilizations) * n_configs`` cells, kernel-major:
+    median watts, applied clocks and the
+    :data:`~repro.driver.faults.QUALITY_BITS` code of each cell (zeros on
+    a skipped kernel's row, NaN watts on an unreadable cell).
     """
-    if quality is None:
-        if rows is None:
-            raise ValidationError(
-                "build_campaign_report needs rows or a quality tally"
-            )
-        quality = QualityTally.from_rows(rows)
+
+    utilizations: Tuple[Optional[UtilizationVector], ...]
+    watts: np.ndarray
+    core_mhz: np.ndarray
+    memory_mhz: np.ndarray
+    quality: np.ndarray
+    #: How many of the session's backoff sleeps the profiling step took —
+    #: the sharded executor replays every shard's profile sleeps before any
+    #: measure sleep, the serial campaign's order.
+    profile_sleeps: int = 0
+
+
+def measure_kernel_rows(
+    session: ProfilingSession,
+    kernels: Sequence[KernelDescriptor],
+    configs: Sequence[FrequencyConfig],
+) -> KernelRowBlock:
+    """The campaign's measurement task: profile kernels, then measure rows.
+
+    Events (hence utilizations) are collected once per kernel at the
+    reference configuration; a kernel whose collection keeps failing under
+    an active fault plan is skipped. The surviving kernels' power rows then
+    come from one :meth:`ProfilingSession.measure_grid_columns` call, with
+    unreadable cells flagged rather than raised. An empty ``configs``
+    profiles only.
+    """
+    calculator = MetricCalculator(session.gpu.spec)
+    sleep_log = session.backoff_clock.sleep_log
+    sleeps_before = len(sleep_log)
+    utilizations: List[Optional[UtilizationVector]] = []
+    for kernel in kernels:
+        try:
+            record = session.collect_events(kernel)
+        except PersistentDriverError:
+            utilizations.append(None)
+            continue
+        utilizations.append(calculator.utilizations(record))
+    profile_sleeps = len(sleep_log) - sleeps_before
+
+    n_configs = len(configs)
+    n_cells = len(kernels) * n_configs
+    watts = np.zeros(n_cells, dtype=np.float64)
+    core_mhz = np.zeros(n_cells, dtype=np.float64)
+    memory_mhz = np.zeros(n_cells, dtype=np.float64)
+    quality = np.zeros(n_cells, dtype=np.uint8)
+    surviving = [k for k, u in enumerate(utilizations) if u is not None]
+    if surviving and n_configs:
+        columns = session.measure_grid_columns(
+            [kernels[k] for k in surviving], configs, on_unreadable="skip"
+        )
+        cells = (
+            np.asarray(surviving)[:, None] * n_configs + np.arange(n_configs)
+        ).ravel()
+        watts[cells] = columns.watts
+        core_mhz[cells] = columns.applied_core_mhz
+        memory_mhz[cells] = columns.applied_mem_mhz
+        quality[cells] = columns.quality
+    return KernelRowBlock(
+        utilizations=tuple(utilizations),
+        watts=watts,
+        core_mhz=core_mhz,
+        memory_mhz=memory_mhz,
+        quality=quality,
+        profile_sleeps=profile_sleeps,
+    )
+
+
+def fault_snapshot(
+    session: ProfilingSession,
+) -> Tuple[faultlib.FaultStats, float]:
+    """Copies of the session's fault tally and backoff total, taken before
+    a campaign so its report can state the campaign's own deltas."""
+    return (
+        dataclasses.replace(session.fault_stats),
+        session.backoff_clock.total_seconds,
+    )
+
+
+def campaign_grid(
+    session: ProfilingSession,
+    kernels: Sequence[KernelDescriptor],
+    configs: Optional[Sequence[FrequencyConfig]],
+) -> Tuple[FrequencyConfig, ...]:
+    """Validate a campaign's inputs; the requested configurations.
+
+    ``configs`` defaults to the device's whole V-F grid.
+    """
+    if not kernels:
+        raise ValidationError("no kernels supplied for training")
+    spec = session.gpu.spec
+    if configs is None:
+        configs = spec.all_configurations()
+    if not configs:
+        raise ValidationError("no configurations supplied for training")
+    return tuple(spec.validate_configuration(c) for c in configs)
+
+
+def finish_campaign(
+    session: ProfilingSession,
+    kernels: Sequence[KernelDescriptor],
+    configs: Sequence[FrequencyConfig],
+    block: KernelRowBlock,
+    campaign_span,
+    before: Tuple[faultlib.FaultStats, float],
+) -> Tuple[TrainingDataset, CampaignReport]:
+    """Turn a campaign's block into its dataset and report.
+
+    Shared by the serial campaign and the sharded executor, which folds
+    its workers' fault tallies and backoff into ``session`` first — so the
+    two produce identical reports for identical campaigns. Skipped kernels
+    and unreadable cells are recorded in the report; the remaining cells
+    become the dataset's column blocks. With telemetry on, the campaign's
+    spans and row counters are emitted here, from the same columns.
+    """
+    n_configs = len(configs)
+    n_cells = len(kernels) * n_configs
+    if len(block.utilizations) != len(kernels) or len(block.quality) != n_cells:
+        raise ValidationError(
+            f"campaign block of {len(block.utilizations)} kernels x "
+            f"{len(block.quality)} cells does not cover the "
+            f"{len(kernels)} x {n_configs} grid"
+        )
+    recorder = session.recorder
+    if recorder.enabled:
+        _trace_campaign(recorder, kernels, configs, block)
+    unreadable = (block.quality & _UNREADABLE_BIT).astype(bool)
+    kernel_names: List[str] = []
+    utilizations: List[UtilizationVector] = []
+    kept: List[np.ndarray] = []
+    kernel_indices: List[np.ndarray] = []
+    skipped_kernels: List[str] = []
+    skipped_cells: List[Tuple[str, FrequencyConfig]] = []
+    for k, (kernel, utilization) in enumerate(
+        zip(kernels, block.utilizations)
+    ):
+        if utilization is None:
+            skipped_kernels.append(kernel.name)
+            continue
+        start = k * n_configs
+        lost = unreadable[start : start + n_configs]
+        skipped_cells.extend(
+            (kernel.name, configs[j]) for j in np.flatnonzero(lost)
+        )
+        cells = start + np.flatnonzero(~lost)
+        kept.append(cells)
+        kernel_indices.append(np.full(len(cells), len(kernel_names)))
+        kernel_names.append(kernel.name)
+        utilizations.append(utilization)
+    row_count = sum(len(cells) for cells in kept)
+    campaign_span.set(
+        rows=row_count,
+        skipped_cells=len(skipped_cells),
+        skipped_kernels=len(skipped_kernels),
+    )
+    if not row_count:
+        raise ValidationError(
+            "measurement campaign produced no usable rows (every kernel or "
+            "cell was skipped)"
+        )
+    rows = np.concatenate(kept)
+    columns = DatasetColumns(
+        kernel_names=tuple(kernel_names),
+        utilizations=tuple(utilizations),
+        kernel_indices=np.concatenate(kernel_indices),
+        core_mhz=block.core_mhz[rows],
+        memory_mhz=block.memory_mhz[rows],
+        measured_watts=block.watts[rows],
+        quality_codes=block.quality[rows],
+    )
+    codes = columns.quality_codes
+    bits = faultlib.QUALITY_BITS
     stats = session.fault_stats
-    return CampaignReport(
-        device_name=spec.name,
-        kernel_count=surviving_count,
-        config_count=config_count,
-        row_count=quality.row_count,
-        clean_rows=quality.clean_rows,
-        retried_rows=quality.retried_rows,
-        dropout_rows=quality.dropout_rows,
-        throttle_injected_rows=quality.throttle_injected_rows,
+    baseline, backoff_before = before
+    report = CampaignReport(
+        device_name=session.gpu.spec.name,
+        kernel_count=len(kernel_names),
+        config_count=n_configs,
+        row_count=row_count,
+        clean_rows=int(np.count_nonzero(codes == 0)),
+        retried_rows=int(np.count_nonzero(codes & bits[faultlib.RETRIED])),
+        dropout_rows=int(np.count_nonzero(codes & bits[faultlib.DROPOUTS])),
+        throttle_injected_rows=int(
+            np.count_nonzero(codes & bits[faultlib.THROTTLE_INJECTED])
+        ),
         skipped_cells=tuple(skipped_cells),
-        skipped_kernels=skipped_kernels,
-        read_faults=stats.read_faults - stats_baseline[0],
-        clock_faults=stats.clock_faults - stats_baseline[1],
-        event_faults=stats.event_faults - stats_baseline[2],
-        dropped_samples=stats.dropped_samples - stats_baseline[3],
-        injected_throttles=stats.injected_throttles - stats_baseline[4],
-        corrupted_counters=stats.corrupted_counters - stats_baseline[5],
+        skipped_kernels=tuple(skipped_kernels),
+        read_faults=stats.read_faults - baseline.read_faults,
+        clock_faults=stats.clock_faults - baseline.clock_faults,
+        event_faults=stats.event_faults - baseline.event_faults,
+        dropped_samples=stats.dropped_samples - baseline.dropped_samples,
+        injected_throttles=(
+            stats.injected_throttles - baseline.injected_throttles
+        ),
+        corrupted_counters=(
+            stats.corrupted_counters - baseline.corrupted_counters
+        ),
         backoff_seconds=session.backoff_clock.total_seconds - backoff_before,
     )
+    return TrainingDataset(spec=session.gpu.spec, columns=columns), report
+
+
+def _trace_campaign(
+    recorder: TelemetryRecorder,
+    kernels: Sequence[KernelDescriptor],
+    configs: Sequence[FrequencyConfig],
+    block: KernelRowBlock,
+) -> None:
+    """Emit the campaign's span tree and row counters from its columns.
+
+    One ``profile`` span per kernel (``skipped`` when its events never
+    came), then one ``measure`` span per profiled kernel holding a
+    ``cell`` span per configuration: at the applied clocks with the
+    decoded quality flags, or at the requested clocks when the cell was
+    unreadable.
+    """
+    for kernel, utilization in zip(kernels, block.utilizations):
+        with recorder.span("profile", kernel=kernel.name) as profile_span:
+            if utilization is None:
+                profile_span.set(skipped=True)
+                recorder.add("kernels.skipped")
+    n_configs = len(configs)
+    for k, (kernel, utilization) in enumerate(
+        zip(kernels, block.utilizations)
+    ):
+        if utilization is None:
+            continue
+        with recorder.span("measure", kernel=kernel.name):
+            for j, config in enumerate(configs):
+                cell = k * n_configs + j
+                code = int(block.quality[cell])
+                if code & _UNREADABLE_BIT:
+                    with recorder.span(
+                        "cell", core=config.core_mhz, memory=config.memory_mhz
+                    ) as cell_span:
+                        cell_span.set(skipped=True)
+                        recorder.add("cells.skipped")
+                    continue
+                with recorder.span(
+                    "cell",
+                    core=float(block.core_mhz[cell]),
+                    memory=float(block.memory_mhz[cell]),
+                ) as cell_span:
+                    if code:
+                        cell_span.set(
+                            quality=list(faultlib.decode_quality(code))
+                        )
+                        recorder.add("rows.degraded")
+                    recorder.add("rows.collected")
 
 
 def collect_campaign(
     session: ProfilingSession,
     kernels: Sequence[KernelDescriptor],
     configs: Optional[Sequence[FrequencyConfig]] = None,
-    use_grid: bool = True,
     workers: int = 0,
     shard_size: Optional[int] = None,
     fallback: str = "auto",
 ) -> Tuple[TrainingDataset, CampaignReport]:
     """Run the measurement campaign and report its health.
 
+    Events (hence utilizations) are collected once per kernel, at the
+    reference configuration, and power is measured (median-of-repeats) at
+    every configuration in ``configs`` — default: the device's entire V-F
+    grid — through :func:`measure_kernel_rows`. TDP-throttled observations
+    are recorded at their *applied* configuration, mirroring what a real
+    campaign would see on the sensor.
+
     The fault-tolerant entry point: under an active
     :class:`~repro.driver.faults.FaultPlan` the campaign degrades
     gracefully — kernels whose event collection keeps failing and cells
     that stay unreadable after the retry budget are skipped and recorded in
-    the :class:`CampaignReport` instead of aborting the run. With faults
-    disabled the dataset is bitwise identical to the historical
-    :func:`collect_training_dataset` output and the report is all-clean.
+    the :class:`CampaignReport` instead of aborting the run. Every cell is
+    bitwise identical to a scalar :meth:`ProfilingSession.measure_power`
+    call at the same (kernel, configuration).
 
     ``workers`` > 0 (or ``"auto"``, which resolves to the machine's usable
-    core count) delegates to the sharded multi-process executor
-    (:func:`repro.parallel.executor.collect_campaign_sharded`), whose
-    dataset and report are bitwise identical to the serial grid path for
-    any worker count; ``shard_size`` (cells per shard) defaults to an
-    adaptive whole-kernel-row split. With ``fallback="auto"`` (default),
-    grids too small to amortize worker startup run the serial path
-    transparently instead (emitting a ``parallel.fallback`` counter);
-    ``fallback="never"`` forces the sharded executor regardless.
+    core count) shards the same task over whole-kernel-row shards in
+    worker processes (:func:`repro.parallel.executor.collect_campaign_sharded`),
+    whose dataset and report are bitwise identical to the serial
+    campaign's for any worker count; ``shard_size`` (cells per shard)
+    defaults to an adaptive split. With ``fallback="auto"`` (default),
+    grids too small to amortize worker startup run serially instead
+    (emitting a ``parallel.fallback`` counter); ``fallback="never"``
+    forces the sharded executor regardless.
     """
+    if fallback not in ("auto", "never"):
+        raise ValidationError(
+            f"fallback must be 'auto' or 'never', got {fallback!r}"
+        )
+    requested = campaign_grid(session, kernels, configs)
     if workers:
-        if not use_grid:
-            raise ValidationError(
-                "the sharded campaign only supports the grid path "
-                "(use_grid=True); grid cells are bitwise identical to the "
-                "scalar walk anyway"
-            )
-        if fallback not in ("auto", "never"):
-            raise ValidationError(
-                f"fallback must be 'auto' or 'never', got {fallback!r}"
-            )
         from repro.parallel.planner import resolve_workers, should_fallback
 
         resolved = resolve_workers(workers)
-        n_configs = (
-            len(configs)
-            if configs is not None
-            else len(session.gpu.spec.all_configurations())
-        )
         if fallback == "never" or not should_fallback(
-            len(kernels), n_configs, resolved
+            len(kernels), len(requested), resolved
         ):
             from repro.parallel.executor import collect_campaign_sharded
 
             return collect_campaign_sharded(
                 session,
                 kernels,
-                configs,
+                requested,
                 workers=resolved,
                 shard_size=shard_size,
             )
         # Grid too small for sharding to pay off: run serially, but leave
         # a trace so callers can see the planner overrode them.
         session.recorder.add("parallel.fallback")
-    if not kernels:
-        raise ValidationError("no kernels supplied for training")
-    spec = session.gpu.spec
-    if configs is None:
-        configs = spec.all_configurations()
-    calculator = MetricCalculator(spec)
-    recorder: TelemetryRecorder = session.recorder
-    stats = session.fault_stats
-    baseline = (
-        stats.read_faults,
-        stats.clock_faults,
-        stats.event_faults,
-        stats.dropped_samples,
-        stats.injected_throttles,
-        stats.corrupted_counters,
-    )
-    backoff_before = session.backoff_clock.total_seconds
-
-    with recorder.span(
+    before = fault_snapshot(session)
+    with session.recorder.span(
         "campaign",
-        device=spec.name,
+        device=session.gpu.spec.name,
         kernels=len(kernels),
-        configs=len(configs),
-        grid=use_grid,
+        configs=len(requested),
     ) as campaign_span:
-        utilization_by_kernel: Dict[str, UtilizationVector] = {}
-        skipped_kernels: List[str] = []
-        surviving: List[KernelDescriptor] = []
-        for kernel in kernels:
-            with recorder.span("profile", kernel=kernel.name) as profile_span:
-                try:
-                    record = session.collect_events(kernel)
-                except PersistentDriverError:
-                    profile_span.set(skipped=True)
-                    recorder.add("kernels.skipped")
-                    skipped_kernels.append(kernel.name)
-                    continue
-            utilization_by_kernel[kernel.name] = calculator.utilizations(record)
-            surviving.append(kernel)
-
-        rows: List[TrainingRow] = []
-        skipped_cells: List[Tuple[str, FrequencyConfig]] = []
-
-        def record_row(kernel_name: str, measurement) -> None:
-            """One usable cell: emit its span/counters, append its row."""
-            with recorder.span(
-                "cell",
-                core=measurement.applied_config.core_mhz,
-                memory=measurement.applied_config.memory_mhz,
-            ) as cell_span:
-                if measurement.quality:
-                    cell_span.set(quality=list(measurement.quality))
-                    recorder.add("rows.degraded")
-                recorder.add("rows.collected")
-            rows.append(
-                TrainingRow(
-                    kernel_name=kernel_name,
-                    config=measurement.applied_config,
-                    measured_watts=measurement.average_watts,
-                    utilizations=utilization_by_kernel[kernel_name],
-                    quality=measurement.quality,
-                )
-            )
-
-        def record_skip(kernel_name: str, config: FrequencyConfig) -> None:
-            with recorder.span(
-                "cell", core=config.core_mhz, memory=config.memory_mhz
-            ) as cell_span:
-                cell_span.set(skipped=True)
-                recorder.add("cells.skipped")
-            skipped_cells.append((kernel_name, config))
-
-        if use_grid:
-            if surviving:
-                grid = session.measure_grid(
-                    surviving, configs, on_unreadable="skip"
-                )
-                for kernel, measurements in zip(surviving, grid.measurements):
-                    with recorder.span("measure", kernel=kernel.name):
-                        for measurement in measurements:
-                            if faultlib.UNREADABLE in measurement.quality:
-                                record_skip(
-                                    kernel.name, measurement.requested_config
-                                )
-                                continue
-                            record_row(kernel.name, measurement)
-        else:
-            for kernel in surviving:
-                with recorder.span("measure", kernel=kernel.name):
-                    for config in configs:
-                        try:
-                            measurement = session.measure_power(kernel, config)
-                        except PersistentDriverError:
-                            record_skip(
-                                kernel.name, spec.validate_configuration(config)
-                            )
-                            continue
-                        record_row(kernel.name, measurement)
-        campaign_span.set(
-            rows=len(rows),
-            skipped_cells=len(skipped_cells),
-            skipped_kernels=len(skipped_kernels),
+        block = measure_kernel_rows(session, kernels, requested)
+        return finish_campaign(
+            session, kernels, requested, block, campaign_span, before
         )
-    if not rows:
-        raise ValidationError(
-            "measurement campaign produced no usable rows (every kernel or "
-            "cell was skipped)"
-        )
-    dataset = TrainingDataset(spec=spec, rows=tuple(rows))
-    report = build_campaign_report(
-        session,
-        spec=spec,
-        surviving_count=len(surviving),
-        config_count=len(configs),
-        rows=rows,
-        skipped_cells=skipped_cells,
-        skipped_kernels=tuple(skipped_kernels),
-        stats_baseline=baseline,
-        backoff_before=backoff_before,
-    )
-    return dataset, report
 
 
 def collect_training_dataset(
     session: ProfilingSession,
     kernels: Sequence[KernelDescriptor],
     configs: Optional[Sequence[FrequencyConfig]] = None,
-    use_grid: bool = True,
     workers: int = 0,
     shard_size: Optional[int] = None,
     fallback: str = "auto",
 ) -> TrainingDataset:
     """Run the full measurement campaign for a set of microbenchmarks.
 
-    * Events (hence utilizations) are collected once per kernel, at the
-      reference configuration.
-    * Power is measured (median-of-repeats) at every configuration in
-      ``configs`` — default: the device's entire V-F grid.
-
-    By default the power matrix comes from the batched grid fast path
-    (:meth:`ProfilingSession.measure_grid`), which reports measurements
-    bitwise identical to stepping the clocks cell by cell;
-    ``use_grid=False`` keeps the scalar walk (the equivalence tests compare
-    the two).
-
-    TDP-throttled observations are recorded at their *applied*
-    configuration, mirroring what a real campaign would see on the sensor.
-
     Thin wrapper over :func:`collect_campaign` that drops the report;
     campaigns under an active fault plan degrade gracefully the same way
     (skipped cells/kernels are simply not visible without the report).
     ``workers > 0`` (or ``"auto"``) shards the campaign across worker
     processes (bitwise-identical output; see :mod:`repro.parallel`), with
-    ``fallback="auto"`` transparently keeping small grids on the serial
-    path.
+    ``fallback="auto"`` transparently keeping small grids serial.
     """
     return collect_campaign(
         session,
         kernels,
         configs,
-        use_grid=use_grid,
         workers=workers,
         shard_size=shard_size,
         fallback=fallback,

@@ -216,7 +216,7 @@ class ModelEstimator:
         with recorder.span(
             "estimate",
             device=self.spec.name,
-            rows=len(self.dataset.rows),
+            rows=self.dataset.row_count(),
             configs=n_configs,
         ) as estimate_span:
             # Step 1: bootstrap X from the three near-reference

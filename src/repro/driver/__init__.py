@@ -26,7 +26,7 @@ from repro.driver.faults import (
     RetryPolicy,
     robust_median,
 )
-from repro.driver.nvml import NVMLDevice, PowerGrid, PowerMeasurement
+from repro.driver.nvml import NVMLDevice, PowerColumns, PowerMeasurement
 from repro.driver.cupti import CuptiContext, EventRecord
 from repro.driver.session import ProfilingSession, KernelObservation
 
@@ -34,7 +34,7 @@ __all__ = [
     "EventTable",
     "event_table_for",
     "NVMLDevice",
-    "PowerGrid",
+    "PowerColumns",
     "PowerMeasurement",
     "CuptiContext",
     "EventRecord",

@@ -70,46 +70,15 @@ class PowerMeasurement:
 
 
 @dataclass(frozen=True)
-class PowerGrid:
-    """The full kernel x configuration power matrix of one campaign.
-
-    ``measurements[i][j]`` is the median power measurement of kernel ``i``
-    at requested configuration ``j`` — each bitwise identical to what
-    :meth:`NVMLDevice.measure_median_power` reports for the same cell.
-    """
-
-    kernel_names: Tuple[str, ...]
-    configs: Tuple[FrequencyConfig, ...]
-    measurements: Tuple[Tuple[PowerMeasurement, ...], ...]
-
-    def watts_matrix(self) -> np.ndarray:
-        """Median watts as a ``(n_kernels, n_configs)`` matrix."""
-        return np.asarray(
-            [
-                [measurement.average_watts for measurement in row]
-                for row in self.measurements
-            ],
-            dtype=float,
-        )
-
-    def row(self, kernel_name: str) -> Tuple[PowerMeasurement, ...]:
-        """All measurements of one kernel, in configuration order."""
-        try:
-            index = self.kernel_names.index(kernel_name)
-        except ValueError:
-            raise NVMLError(f"kernel {kernel_name!r} not in this grid") from None
-        return self.measurements[index]
-
-
-@dataclass(frozen=True)
 class PowerColumns:
-    """Struct-of-arrays power matrix: the zero-copy campaign transport.
+    """Struct-of-arrays power matrix of one measurement campaign.
 
-    The columnar twin of :class:`PowerGrid`: one entry per (kernel,
-    configuration) cell, flattened kernel-major, with no per-cell
-    :class:`PowerMeasurement` objects. ``watts[k * n_configs + j]`` is
-    bitwise identical to the corresponding ``PowerGrid`` cell's
-    ``average_watts`` (NaN for unreadable cells), ``quality`` carries the
+    One entry per (kernel, configuration) cell, flattened kernel-major,
+    with no per-cell :class:`PowerMeasurement` objects.
+    ``watts[k * n_configs + j]`` is bitwise identical to the
+    ``average_watts`` a scalar :meth:`NVMLDevice.measure_median_power`
+    call reports for the same cell (NaN for unreadable cells),
+    ``quality`` carries the
     :data:`repro.driver.faults.QUALITY_BITS` bitmask, and the applied
     clocks are the post-TDP (or post-injected-throttle) frequencies.
     Requested configurations are implicit: cell ``j`` of every kernel is
@@ -332,78 +301,6 @@ class NVMLDevice:
             total_seconds=total_seconds,
         )
 
-    def measure_power_grid(
-        self,
-        kernels: Sequence[KernelDescriptor],
-        configs: Optional[Sequence[FrequencyConfig]] = None,
-        repeats: Optional[int] = None,
-        on_unreadable: str = "raise",
-    ) -> PowerGrid:
-        """Median power of every (kernel, configuration) cell, batched.
-
-        The fast path of the Sec. V-A measurement campaign: the ground-truth
-        executions run through the vectorized grid simulator, repetition
-        counts are derived once per kernel, and the repeat-median arithmetic
-        (noise application, first-sample contamination, per-repeat means)
-        is performed on stacked arrays. Every reported
-        :class:`PowerMeasurement` is bitwise identical to the scalar
-        :meth:`measure_median_power` at the same configuration — same seed
-        derivation labels, same draw shapes — the device clocks are simply
-        not stepped through the grid.
-
-        Under an active fault plan, cells that a fault touches fall back to
-        the scalar resilient path (which observes the same seeded fault
-        stream, so grid and scalar campaigns stay equivalent), and
-        ``on_unreadable`` selects between aborting on a persistently
-        unreadable cell (``"raise"``, the default) or recording it as a
-        NaN-valued measurement flagged ``unreadable`` (``"skip"``).
-        """
-        self._require_open()
-        if on_unreadable not in ("raise", "skip"):
-            raise NVMLError(
-                f"on_unreadable must be 'raise' or 'skip', got {on_unreadable!r}"
-            )
-        if configs is None:
-            configs = self._gpu.spec.all_configurations()
-        if repeats is None:
-            repeats = self._settings.measurement_repeats
-        if repeats <= 0:
-            raise NVMLError("measurement repeats must be positive")
-        requested = tuple(
-            self._gpu.spec.validate_configuration(config) for config in configs
-        )
-        if self._faults_active:
-            return self._measure_grid_faulted(
-                kernels, requested, repeats, on_unreadable
-            )
-        idle_cache: Dict[Tuple[float, float], float] = {}
-        rows: List[Tuple[PowerMeasurement, ...]] = []
-        for kernel in kernels:
-            runs = self._gpu.run_grid(kernel, requested)
-            repetitions = self._default_repetitions(kernel)
-            totals = [run.duration_seconds * repetitions for run in runs]
-            counts = [self._sample_count(total) for total in totals]
-            medians = self._grid_medians(kernel, runs, totals, counts, repeats, idle_cache)
-            rows.append(
-                tuple(
-                    PowerMeasurement(
-                        kernel_name=kernel.name,
-                        requested_config=run.requested_config,
-                        applied_config=run.applied_config,
-                        average_watts=medians[i],
-                        sample_count=counts[i],
-                        repetitions=repetitions,
-                        total_seconds=totals[i],
-                    )
-                    for i, run in enumerate(runs)
-                )
-            )
-        return PowerGrid(
-            kernel_names=tuple(kernel.name for kernel in kernels),
-            configs=requested,
-            measurements=tuple(rows),
-        )
-
     def measure_power_grid_columns(
         self,
         kernels: Sequence[KernelDescriptor],
@@ -411,16 +308,22 @@ class NVMLDevice:
         repeats: Optional[int] = None,
         on_unreadable: str = "raise",
     ) -> PowerColumns:
-        """Columnar twin of :meth:`measure_power_grid`: arrays, no objects.
+        """Median power of every (kernel, configuration) cell, as columns.
 
-        Same arithmetic, same seed-derivation labels, same fault screening
-        — every column entry is bitwise identical to the corresponding
-        :class:`PowerMeasurement` field — but the clean path never
-        materializes per-cell measurement/run objects: ground truth comes
-        from :meth:`SimulatedGPU.run_grid_columns` and results land
-        directly in float64/uint8 columns, which worker processes can ship
-        through shared memory without pickling. Cells a fault touches fall
-        back to the scalar resilient routine exactly like the object path;
+        The Sec. V-A measurement campaign in batched numpy: ground truth
+        comes from :meth:`SimulatedGPU.run_grid_columns`, repetition counts
+        are derived once per kernel, and the repeat-median arithmetic
+        (noise, first-sample contamination, per-repeat means) runs on
+        stacked arrays. Every column entry is bitwise identical to the
+        corresponding field of a scalar :meth:`measure_median_power` call
+        at the same configuration — same seed labels, same draw shapes —
+        but no per-cell measurement/run object is ever built, so worker
+        processes can ship the float64/uint8 columns through shared memory
+        without pickling. The device clocks are not stepped.
+
+        Under an active fault plan, cells a first-attempt fault touches
+        fall back to the scalar resilient routine (which draws the same
+        seeded decisions, so a scalar walk measures identical cells);
         unreadable cells become NaN watts with the ``unreadable`` bit set
         (``on_unreadable="skip"``) or raise (``"raise"``).
         """
@@ -445,14 +348,6 @@ class NVMLDevice:
         applied_mem = np.empty(n_cells, dtype=float)
         quality = np.zeros(n_cells, dtype=np.uint8)
         idle_cache: Dict[Tuple[float, float], float] = {}
-
-        def resolve_idle(pending: Sequence[Tuple[float, float]]):
-            idle_cols = self._gpu.run_grid_columns(
-                idle_kernel(),
-                [FrequencyConfig(core, mem) for core, mem in pending],
-            )
-            return idle_cols.true_power_watts
-
         plan = self.fault_plan
         for k, kernel in enumerate(kernels):
             base = k * n_configs
@@ -494,7 +389,6 @@ class NVMLDevice:
                     [counts[i] for i in clean],
                     repeats,
                     idle_cache,
-                    resolve_idle,
                 )
                 for j, i in enumerate(clean):
                     watts[base + i] = medians[j]
@@ -765,122 +659,6 @@ class NVMLDevice:
             retries=attempt,
         )
 
-    def _measure_grid_faulted(
-        self,
-        kernels: Sequence[KernelDescriptor],
-        requested: Tuple[FrequencyConfig, ...],
-        repeats: int,
-        on_unreadable: str,
-    ) -> PowerGrid:
-        """Grid campaign under an active plan.
-
-        Cells are screened against the first-attempt fault stream: clean
-        cells keep the batched fast path (bitwise identical to the scalar
-        clean path), cells a fault touches fall back to the scalar
-        resilient routine — which draws the *same* seeded decisions, so a
-        full scalar walk produces the identical grid.
-        """
-        plan = self.fault_plan
-        idle_cache: Dict[Tuple[float, float], float] = {}
-        rows: List[Tuple[PowerMeasurement, ...]] = []
-        for kernel in kernels:
-            runs = self._gpu.run_grid(kernel, requested)
-            repetitions = self._default_repetitions(kernel)
-            totals = [run.duration_seconds * repetitions for run in runs]
-            counts = [self._sample_count(total) for total in totals]
-            clean: List[int] = []
-            faulted: List[int] = []
-            for i, run in enumerate(runs):
-                cell = self._cell_label(run.requested_config)
-                if (
-                    plan.nvml_read_fails(self.name, kernel.name, cell, 0)
-                    or plan.spurious_throttle(self.name, kernel.name, cell, 0)
-                    or plan.dropout_episode(self.name, kernel.name, cell, 0)
-                ):
-                    faulted.append(i)
-                else:
-                    clean.append(i)
-            measurements: List[Optional[PowerMeasurement]] = [None] * len(runs)
-            if clean:
-                medians = self._grid_medians(
-                    kernel,
-                    [runs[i] for i in clean],
-                    [totals[i] for i in clean],
-                    [counts[i] for i in clean],
-                    repeats,
-                    idle_cache,
-                )
-                for j, i in enumerate(clean):
-                    measurements[i] = PowerMeasurement(
-                        kernel_name=kernel.name,
-                        requested_config=runs[i].requested_config,
-                        applied_config=runs[i].applied_config,
-                        average_watts=medians[j],
-                        sample_count=counts[i],
-                        repetitions=repetitions,
-                        total_seconds=totals[i],
-                    )
-            for i in faulted:
-                try:
-                    measurements[i] = self._measure_median_resilient(
-                        kernel, runs[i].requested_config, repeats
-                    )
-                except PersistentDriverError:
-                    if on_unreadable == "raise":
-                        raise
-                    measurements[i] = PowerMeasurement(
-                        kernel_name=kernel.name,
-                        requested_config=runs[i].requested_config,
-                        applied_config=runs[i].applied_config,
-                        average_watts=float("nan"),
-                        sample_count=counts[i],
-                        repetitions=repetitions,
-                        total_seconds=totals[i],
-                        quality=(faultlib.UNREADABLE,),
-                        retries=self.retry_policy.max_attempts - 1,
-                    )
-            rows.append(tuple(measurements))
-        return PowerGrid(
-            kernel_names=tuple(kernel.name for kernel in kernels),
-            configs=requested,
-            measurements=tuple(rows),
-        )
-
-    def _grid_medians(
-        self,
-        kernel: KernelDescriptor,
-        runs: Sequence[KernelRunResult],
-        totals: Sequence[float],
-        counts: Sequence[int],
-        repeats: int,
-        idle_cache: Dict[Tuple[float, float], float],
-    ) -> List[float]:
-        """Median measured watts per grid cell, batched by sample count.
-
-        Thin object-path adapter over :meth:`_median_batch`: idle levels
-        come from the object grid path (populating the run cache and its
-        telemetry counters exactly as before).
-        """
-
-        def resolve_idle(pending: Sequence[Tuple[float, float]]):
-            idle_runs = self._gpu.run_grid(
-                idle_kernel(),
-                [FrequencyConfig(core, mem) for core, mem in pending],
-            )
-            return [idle_run.true_power_watts for idle_run in idle_runs]
-
-        return self._median_batch(
-            kernel,
-            [run.applied_config.core_mhz for run in runs],
-            [run.applied_config.memory_mhz for run in runs],
-            [run.true_power_watts for run in runs],
-            totals,
-            counts,
-            repeats,
-            idle_cache,
-            resolve_idle,
-        )
-
     def _median_batch(
         self,
         kernel: KernelDescriptor,
@@ -891,7 +669,6 @@ class NVMLDevice:
         counts: Sequence[int],
         repeats: int,
         idle_cache: Dict[Tuple[float, float], float],
-        resolve_idle,
     ) -> List[float]:
         """Median measured watts per cell from columnar ground truth.
 
@@ -899,9 +676,8 @@ class NVMLDevice:
         samples)`` noise tensor; the contamination and per-repeat means then
         run as array ops. Expression order matches the scalar helpers
         (``_repeat_averages`` / ``_contaminate_first_sample``) exactly.
-        ``resolve_idle`` maps uncached (core, memory) pairs to idle watts —
-        the object and columnar grid paths plug in their respective idle
-        executions, which report bitwise-identical levels.
+        Idle levels of uncached (core, memory) pairs come from one columnar
+        idle-kernel execution, bitwise identical to scalar idle runs.
         """
         contaminate = not kernel.is_idle
         if contaminate:
@@ -913,7 +689,11 @@ class NVMLDevice:
                     seen.add(key)
                     pending.append(key)
             if pending:
-                for key, idle_watts in zip(pending, resolve_idle(pending)):
+                idle = self._gpu.run_grid_columns(
+                    idle_kernel(),
+                    [FrequencyConfig(core, mem) for core, mem in pending],
+                )
+                for key, idle_watts in zip(pending, idle.true_power_watts):
                     idle_cache[key] = idle_watts
         by_count: Dict[int, List[int]] = {}
         for i, count in enumerate(counts):

@@ -26,7 +26,7 @@ from repro.driver.faults import (
     FaultStats,
     RetryPolicy,
 )
-from repro.driver.nvml import NVMLDevice, PowerGrid, PowerMeasurement
+from repro.driver.nvml import NVMLDevice, PowerColumns, PowerMeasurement
 from repro.errors import PersistentDriverError, TransientCuptiError
 from repro.hardware.gpu import SimulatedGPU
 from repro.hardware.specs import FrequencyConfig
@@ -148,36 +148,20 @@ class ProfilingSession:
             return self.nvml.measure_median_power(kernel)
         return self.nvml.measure_power(kernel)
 
-    def measure_grid(
-        self,
-        kernels: Sequence[KernelDescriptor],
-        configs: Optional[Sequence[FrequencyConfig]] = None,
-        on_unreadable: str = "raise",
-    ) -> PowerGrid:
-        """The whole kernel x configuration power matrix, batched.
-
-        Delegates to :meth:`NVMLDevice.measure_power_grid`; every cell is
-        bitwise identical to a scalar :meth:`measure_power` call at the same
-        (kernel, configuration). The application clocks are left untouched.
-        ``on_unreadable`` (``"raise"``/``"skip"``) controls what happens to
-        cells that stay unreadable under an active fault plan.
-        """
-        return self.nvml.measure_power_grid(
-            kernels, configs, on_unreadable=on_unreadable
-        )
-
     def measure_grid_columns(
         self,
         kernels: Sequence[KernelDescriptor],
         configs: Optional[Sequence[FrequencyConfig]] = None,
         on_unreadable: str = "raise",
-    ):
-        """Columnar grid campaign: struct-of-arrays, no per-cell objects.
+    ) -> PowerColumns:
+        """The whole kernel x configuration power matrix, as columns.
 
         Delegates to :meth:`NVMLDevice.measure_power_grid_columns`; every
-        column entry is bitwise identical to the corresponding
-        :meth:`measure_grid` cell's field. This is the path the zero-copy
-        sharded campaign executor drives inside worker processes.
+        cell is bitwise identical to a scalar :meth:`measure_power` call at
+        the same (kernel, configuration). The application clocks are left
+        untouched. ``on_unreadable`` (``"raise"``/``"skip"``) controls what
+        happens to cells that stay unreadable under an active fault plan.
+        This is the measurement step of every campaign, serial or sharded.
         """
         return self.nvml.measure_power_grid_columns(
             kernels, configs, on_unreadable=on_unreadable

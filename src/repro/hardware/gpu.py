@@ -15,7 +15,7 @@ them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Optional, Sequence, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.driver.faults import FaultPlan
@@ -24,7 +24,7 @@ import numpy as np
 
 from repro.config import DEFAULT_SETTINGS, SimulationSettings
 from repro.telemetry.recorder import NULL_RECORDER, TelemetryRecorder
-from repro.hardware.components import ALL_COMPONENTS, Domain
+from repro.hardware.components import Domain
 from repro.hardware.noise import NoiseProfile, noise_profile_for  # noqa: F401
 from repro.hardware.performance import ExecutionProfile, PerformanceModel
 from repro.units import closest_lower_level
@@ -65,16 +65,15 @@ class KernelRunResult:
 class GridRunColumns:
     """Struct-of-arrays outcome of one kernel over many configurations.
 
-    The columnar twin of a :meth:`SimulatedGPU.run_grid` result list: one
-    float64 entry per requested configuration, in request order, with no
-    per-cell :class:`KernelRunResult`/:class:`ExecutionProfile` objects
+    One float64 entry per requested configuration, in request order, with
+    no per-cell :class:`KernelRunResult`/:class:`ExecutionProfile` objects
     materialized. Every entry is bitwise identical to the corresponding
-    scalar result's field (``duration_seconds``, ``true_power_watts``,
-    ``applied_config``) — the :class:`~repro.hardware.power.GridBreakdown`
-    totals replicate the scalar operation order exactly, and the TDP
-    throttle walk below is the same walk :meth:`SimulatedGPU._compute_grid`
-    performs. Arrays are cached per (kernel, configuration tuple); callers
-    must treat them as read-only.
+    field of a scalar :meth:`SimulatedGPU.run` result
+    (``duration_seconds``, ``true_power_watts``, ``applied_config``) — the
+    :class:`~repro.hardware.power.GridBreakdown` totals replicate the
+    scalar operation order exactly, and the TDP throttle walk is the
+    scalar policy's walk over the batched powers. Arrays are cached per
+    (kernel, configuration tuple); callers must treat them as read-only.
     """
 
     requested: Tuple[FrequencyConfig, ...]
@@ -181,55 +180,20 @@ class SimulatedGPU:
         self._run_cache[cache_key] = result
         return result
 
-    def run_grid(
-        self,
-        kernel: KernelDescriptor,
-        configs: Optional[Sequence[FrequencyConfig]] = None,
-    ) -> List[KernelRunResult]:
-        """Execute one kernel at many configurations in batched numpy.
-
-        Produces :class:`KernelRunResult` objects bitwise identical to
-        per-configuration :meth:`run` calls — including TDP throttle
-        decisions — and populates the same run cache, so the scalar and
-        grid paths are interchangeable mid-campaign. This is the hardware
-        half of the measurement-campaign fast path: the elapsed-time,
-        utilization and power arithmetic runs once over (n_configs,)
-        arrays instead of once per configuration.
-        """
-        if configs is None:
-            configs = self.spec.all_configurations()
-        requested = [self._validated(c) for c in configs]
-        missing = {}
-        for config in requested:
-            key = (kernel.cache_key, config.core_mhz, config.memory_mhz)
-            if key not in self._run_cache and key not in missing:
-                missing[key] = config
-        if self.recorder.enabled:
-            self.recorder.add(
-                "run.cache_hits", float(len(requested) - len(missing))
-            )
-            self.recorder.add("run.cache_misses", float(len(missing)))
-        if missing:
-            self._compute_grid(kernel, list(missing.values()))
-        return [
-            self._run_cache[(kernel.cache_key, c.core_mhz, c.memory_mhz)]
-            for c in requested
-        ]
-
     def run_grid_columns(
         self,
         kernel: KernelDescriptor,
         configs: Optional[Sequence[FrequencyConfig]] = None,
     ) -> GridRunColumns:
-        """Columnar twin of :meth:`run_grid`: arrays, no per-cell objects.
+        """Execute one kernel at many configurations in batched numpy.
 
-        The hot half of the zero-copy campaign transport: the vectorized
-        candidate grid and the TDP throttle walk are identical to
-        :meth:`_compute_grid`, but the per-configuration results stay in
-        float64 columns instead of being materialized into
-        :class:`KernelRunResult`/:class:`ExecutionProfile` objects — every
-        entry is bitwise identical to the scalar result's field. Results
-        are cached per (kernel, configuration tuple).
+        The hardware half of the measurement campaign: the elapsed-time,
+        utilization and power arithmetic runs once over (n_configs,)
+        arrays, and the TDP throttle decision walks the batched powers.
+        Results stay in float64 columns — every entry bitwise identical to
+        the field of a per-configuration :meth:`run` call — and are cached
+        per (kernel, configuration tuple). The per-cell run cache (and its
+        telemetry counters) is left untouched.
         """
         if configs is None:
             configs = self.spec.all_configurations()
@@ -241,7 +205,7 @@ class SimulatedGPU:
         cached = self._columns_cache.get(cache_key)
         if cached is not None:
             return cached
-        index, totals, profiles, _ = self._candidate_grid(kernel, requested)
+        index, totals, profiles = self._candidate_grid(kernel, requested)
         n = len(requested)
         duration = np.empty(n, dtype=float)
         watts = np.empty(n, dtype=float)
@@ -265,13 +229,13 @@ class SimulatedGPU:
         return result
 
     def _candidate_grid(self, kernel: KernelDescriptor, requested):
-        """Vectorized candidate batch shared by the grid paths.
+        """Vectorized candidate batch of :meth:`run_grid_columns`.
 
         The candidate set is the cross product of *all* core levels with the
         requested memory levels: TDP throttling only ever walks the core
         frequency downward (Fig. 9 footnote), so every probe the scalar
         policy would make is already in the batch. Returns ``(index, totals,
-        profiles, grid)`` where ``index`` maps (core, memory) pairs to batch
+        profiles)`` where ``index`` maps (core, memory) pairs to batch
         positions.
         """
         memories = list(dict.fromkeys(c.memory_mhz for c in requested))
@@ -303,7 +267,7 @@ class SimulatedGPU:
         grid = self.power_model.breakdown_grid(
             profiles, core_arr, mem_arr, v_core, v_mem
         )
-        return index, grid.total_watts, profiles, grid
+        return index, grid.total_watts, profiles
 
     def _applied_for(
         self, config: FrequencyConfig, totals: np.ndarray, index
@@ -321,46 +285,6 @@ class SimulatedGPU:
         if core != config.core_mhz:
             return self._validated(FrequencyConfig(core, config.memory_mhz))
         return config
-
-    def _compute_grid(
-        self, kernel: KernelDescriptor, requested: List[FrequencyConfig]
-    ) -> None:
-        """Vectorized execution of the uncached (kernel, config) cells.
-
-        Candidate batch via :meth:`_candidate_grid`; per-cell results are
-        materialized into :class:`KernelRunResult` objects and stored in
-        the run cache.
-        """
-        index, totals, profiles, grid = self._candidate_grid(kernel, requested)
-        utilization_columns = [
-            (component, profiles.utilizations[component])
-            for component in ALL_COMPONENTS
-        ]
-
-        for config in requested:
-            applied = self._applied_for(config, totals, index)
-            i = index[(applied.core_mhz, applied.memory_mhz)]
-            profile = ExecutionProfile(
-                kernel=kernel,
-                config=applied,
-                duration_seconds=float(profiles.duration_seconds[i]),
-                utilizations={
-                    component: float(column[i])
-                    for component, column in utilization_columns
-                },
-                issue_activity=float(profiles.issue_activity[i]),
-            )
-            breakdown = grid.breakdown_at(i)
-            result = KernelRunResult(
-                kernel=kernel,
-                requested_config=config,
-                applied_config=applied,
-                profile=profile,
-                true_power_watts=breakdown.total_watts,
-                breakdown=breakdown,
-            )
-            cache_key = (kernel.cache_key, config.core_mhz, config.memory_mhz)
-            self._run_cache[cache_key] = result
 
     def _validated(self, config: FrequencyConfig) -> FrequencyConfig:
         """Memoized :meth:`GPUSpec.validate_configuration`."""

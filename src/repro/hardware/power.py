@@ -131,9 +131,9 @@ def ground_truth_parameters_for(spec: GPUSpec) -> GroundTruthParameters:
 class GridBreakdown:
     """Vectorized ground-truth power terms over many configurations.
 
-    Arrays are indexed by configuration, in supply order; the scalar terms
-    reassemble into exactly the :class:`PowerBreakdown` the scalar path
-    would produce (same operation order, hence the same bits)."""
+    Arrays are indexed by configuration, in supply order; every term is
+    bitwise identical to the matching :class:`PowerBreakdown` term of the
+    scalar path (same operation order, hence the same bits)."""
 
     static_watts: np.ndarray
     idle_core_watts: np.ndarray
@@ -142,20 +142,6 @@ class GridBreakdown:
     issue_watts: np.ndarray
     residual_factor: float
     total_watts: np.ndarray
-
-    def breakdown_at(self, index: int) -> "PowerBreakdown":
-        """Materialize the scalar :class:`PowerBreakdown` of one entry."""
-        return PowerBreakdown(
-            static_watts=float(self.static_watts[index]),
-            idle_core_watts=float(self.idle_core_watts[index]),
-            idle_mem_watts=float(self.idle_mem_watts[index]),
-            component_watts={
-                component: float(watts[index])
-                for component, watts in self.component_watts.items()
-            },
-            issue_watts=float(self.issue_watts[index]),
-            residual_factor=self.residual_factor,
-        )
 
 
 @dataclass(frozen=True)

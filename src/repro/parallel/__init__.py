@@ -6,19 +6,18 @@ package fans that grid out over a :class:`concurrent.futures.ProcessPoolExecutor
 while preserving the serial campaign's outputs *bitwise*: workers rebuild
 the simulated device from a frozen :class:`DeviceSpec` (every noise and
 fault draw is label-seeded, so rebuilt sessions observe identical
-measurements), the grid is partitioned deterministically, and results are
-merged in shard order regardless of scheduling.
+measurements) and run the serial campaign's own measurement task on
+whole-kernel-row shards, and results are merged in shard order regardless
+of scheduling.
 """
 
 from repro.parallel.executor import (
-    PROFILE_CHUNK_KERNELS,
     collect_campaign_sharded,
     collect_training_dataset_sharded,
-    merge_measurements,
-    plan_row_shards,
 )
 from repro.parallel.planner import (
     FALLBACK_MIN_CELLS,
+    MAX_SHARD_KERNELS,
     SHM_MIN_CELLS,
     CampaignPlan,
     plan_campaign,
@@ -27,14 +26,7 @@ from repro.parallel.planner import (
     usable_cpu_count,
 )
 from repro.parallel.pool import WorkerPool, shared_pool, shutdown_shared_pool
-from repro.parallel.sharding import (
-    Cell,
-    RowShard,
-    Shard,
-    covered_cells,
-    partition_grid,
-    partition_kernel_rows,
-)
+from repro.parallel.sharding import RowShard, partition_kernel_rows
 from repro.parallel.spec import DeviceSpec
 from repro.parallel.transport import (
     ArenaHandle,
@@ -44,47 +36,31 @@ from repro.parallel.transport import (
     unpack_columns,
 )
 from repro.parallel.worker import (
-    MeasureTaskResult,
-    ProfileTaskResult,
     ShardColumnsResult,
-    ShardCrashError,
     WorkerStats,
-    measure_shard,
     prepare_worker,
-    profile_kernels,
     run_shard_columns,
 )
 
 __all__ = [
     "ArenaHandle",
     "CampaignPlan",
-    "Cell",
     "ColumnArena",
     "ColumnBlock",
     "DeviceSpec",
     "FALLBACK_MIN_CELLS",
-    "MeasureTaskResult",
-    "PROFILE_CHUNK_KERNELS",
-    "ProfileTaskResult",
+    "MAX_SHARD_KERNELS",
     "RowShard",
     "SHM_MIN_CELLS",
-    "Shard",
     "ShardColumnsResult",
-    "ShardCrashError",
     "WorkerPool",
     "WorkerStats",
     "collect_campaign_sharded",
     "collect_training_dataset_sharded",
-    "covered_cells",
-    "measure_shard",
-    "merge_measurements",
     "pack_columns",
-    "partition_grid",
     "partition_kernel_rows",
     "plan_campaign",
-    "plan_row_shards",
     "prepare_worker",
-    "profile_kernels",
     "resolve_workers",
     "run_shard_columns",
     "shared_pool",

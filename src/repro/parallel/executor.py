@@ -1,199 +1,75 @@
 """The sharded campaign executor: process-pool fan-out, deterministic merge.
 
-Drop-in parallel twin of :func:`repro.core.dataset.collect_campaign`, with
-two transports chosen by the session's telemetry mode:
+Parallel twin of :func:`repro.core.dataset.collect_campaign`, built from
+the same two steps. The grid is split into whole-kernel-row shards
+(:mod:`repro.parallel.sharding`); each worker runs the campaign's
+measurement task (:func:`repro.core.dataset.measure_kernel_rows`, through
+:func:`repro.parallel.worker.run_shard_columns`) on its shard and writes
+its power/clock/quality column slice straight into a parent-owned
+shared-memory arena (:mod:`repro.parallel.transport`; packed byte blobs
+below the arena threshold). The parent then hands the merged columns to
+:func:`repro.core.dataset.finish_campaign` — the serial campaign's last
+step, telemetry included — so there is one code path, traced or not.
+Workers come from the persistent shared pool (:mod:`repro.parallel.pool`),
+so repeated campaigns pay fork and device build once.
 
-* **Columnar zero-copy path** (telemetry off — the fast path): the grid is
-  split into whole-kernel-row shards (:mod:`repro.parallel.sharding`), each
-  worker runs the combined profile+measure task
-  (:func:`repro.parallel.worker.run_shard_columns`) through the vectorized
-  :meth:`~repro.driver.session.ProfilingSession.measure_grid_columns`
-  fast path — no per-cell measurement objects anywhere — and writes its
-  power/clock/quality column slice straight into a parent-owned
-  shared-memory arena (:mod:`repro.parallel.transport`; packed byte blobs
-  below the arena threshold). The parent assembles a
-  :class:`~repro.core.dataset.TrainingDataset` directly from the merged
-  columns; rows materialize lazily, bitwise identical to the serial
-  campaign's. Workers come from the persistent shared pool
-  (:mod:`repro.parallel.pool`), so repeated campaigns pay fork and device
-  build once.
-
-* **Legacy object path** (telemetry on): the original two-phase
-  profile/measure fan-out, which ships full measurement objects and worker
-  trace recorders so the parent can absorb per-task traces in
-  deterministic shard order — preserving the golden-trace contract that
-  merged traces are invariant under worker count.
-
-Both paths merge **in shard order** — futures are consumed by index, never
-by completion — so the output is a pure function of (device spec, kernels,
-configurations, shard plan): datasets, reports, backoff replay and merged
-traces are bitwise identical to the serial campaign for every worker
-count, including under an active fault plan.
+Everything merges **in shard order** — futures are consumed by index,
+never by completion — so the output is a pure function of (device spec,
+kernels, configurations, shard plan): datasets, reports, backoff replay
+and merged counters are bitwise identical to the serial campaign for
+every worker count, including under an active fault plan. Traced workers
+run cold boards, so their run-cache counters depend on which kernels
+share a shard; a traced campaign therefore uses the fixed
+:data:`~repro.parallel.planner.MAX_SHARD_KERNELS` width instead of one
+fitted to the worker count, keeping merged traces worker-count invariant.
 
 Crash recovery follows the campaign's skip-and-record contract: an
-injected shard failure (``fail_shards``) degrades into skipped cells with
-utilizations intact; a genuinely crashed columnar task (which would have
-carried the profiling results too) degrades into skipped kernels; a
+injected shard failure (``fail_shards``) keeps its utilizations and
+degrades into skipped cells; a genuinely crashed task loses its profiling
+results too and degrades into skipped kernels; a
 :class:`~concurrent.futures.process.BrokenProcessPool` additionally marks
 the shared pool for replacement.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import Executor, ProcessPoolExecutor
+from concurrent.futures import Executor
 from concurrent.futures.process import BrokenProcessPool
-from typing import (
-    Collection,
-    Dict,
-    List,
-    Mapping,
-    Optional,
-    Sequence,
-    Tuple,
-)
+from typing import Collection, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.core.dataset import (
     CampaignReport,
-    DatasetColumns,
-    QualityTally,
+    KernelRowBlock,
     TrainingDataset,
-    TrainingRow,
-    build_campaign_report,
+    campaign_grid,
+    fault_snapshot,
+    finish_campaign,
 )
 from repro.core.metrics import UtilizationVector
 from repro.driver import faults as faultlib
 from repro.driver.session import ProfilingSession
-from repro.errors import ValidationError
 from repro.hardware.specs import FrequencyConfig
 from repro.kernels.kernel import KernelDescriptor
 from repro.parallel import pool as poollib
 from repro.parallel import worker as workerlib
-from repro.parallel.planner import plan_campaign
-from repro.parallel.sharding import (
-    Cell,
-    RowShard,
-    Shard,
-    partition_grid,
-    partition_kernel_rows,
+from repro.parallel.planner import (
+    MAX_SHARD_KERNELS,
+    plan_campaign,
+    resolve_workers,
 )
+from repro.parallel.sharding import partition_kernel_rows
 from repro.parallel.spec import DeviceSpec
 from repro.parallel.transport import ColumnArena, unpack_columns
-from repro.parallel.worker import (
-    KernelCells,
-    MeasureTaskResult,
-    ShardColumnsResult,
-)
+from repro.parallel.worker import ShardColumnsResult
 
 __all__ = [
-    "PROFILE_CHUNK_KERNELS",
     "collect_campaign_sharded",
     "collect_training_dataset_sharded",
-    "merge_measurements",
-    "plan_row_shards",
 ]
 
-#: Kernels per phase-1 profiling task (legacy object path). Fixed (never
-#: derived from the worker count) so the order in which worker recorders
-#: are absorbed — and hence the merged trace — depends only on the workload.
-PROFILE_CHUNK_KERNELS = 8
-
-#: Default phase-2 shard size of the legacy object path, in whole kernel
-#: rows; like the profile chunking, it never depends on the worker count.
-DEFAULT_SHARD_KERNELS = 4
-
 _UNREADABLE_BIT = faultlib.QUALITY_BITS[faultlib.UNREADABLE]
-
-
-def _profile_chunks(
-    kernels: Sequence[KernelDescriptor],
-) -> List[Tuple[KernelDescriptor, ...]]:
-    return [
-        tuple(kernels[start : start + PROFILE_CHUNK_KERNELS])
-        for start in range(0, len(kernels), PROFILE_CHUNK_KERNELS)
-    ]
-
-
-def _shard_groups(
-    shard: Shard,
-    kernels: Sequence[KernelDescriptor],
-    configs: Sequence[FrequencyConfig],
-) -> KernelCells:
-    """Group a shard's cells per kernel, preserving kernel-major order."""
-    grouped: Dict[int, List[Tuple[int, FrequencyConfig]]] = {}
-    for kernel_index, config_index in shard.cells:
-        grouped.setdefault(kernel_index, []).append(
-            (config_index, configs[config_index])
-        )
-    return tuple(
-        (kernel_index, kernels[kernel_index], tuple(cells))
-        for kernel_index, cells in grouped.items()
-    )
-
-
-def plan_row_shards(
-    n_kernels: int,
-    n_configs: int,
-    workers: int,
-    shard_size: Optional[int] = None,
-) -> Tuple[RowShard, ...]:
-    """The columnar path's shard partition, exposed for tests/tools.
-
-    Whole kernel rows, width picked by the adaptive planner (or derived
-    from a legacy ``shard_size`` in cells) — see
-    :func:`repro.parallel.planner.plan_campaign`.
-    """
-    plan = plan_campaign(
-        n_kernels, n_configs, workers, shard_size=shard_size
-    )
-    return partition_kernel_rows(n_kernels, plan.shard_kernels)
-
-
-def merge_measurements(
-    kernels: Sequence[KernelDescriptor],
-    configs: Sequence[FrequencyConfig],
-    utilization_by_kernel: Mapping[str, UtilizationVector],
-    cell_measurements: Mapping[Cell, object],
-    crashed_cells: Collection[Cell] = frozenset(),
-) -> Tuple[
-    Tuple[TrainingRow, ...], Tuple[Tuple[str, FrequencyConfig], ...]
-]:
-    """Rebuild the serial campaign's row/skip sequences from cell results.
-
-    Pure function of its inputs: cells are visited kernel-major in grid
-    order regardless of which shard produced which measurement, which makes
-    the merge invariant under any permutation of shard results (the
-    hypothesis suite pins this property).
-    """
-    rows: List[TrainingRow] = []
-    skipped: List[Tuple[str, FrequencyConfig]] = []
-    for kernel_index, kernel in enumerate(kernels):
-        for config_index, config in enumerate(configs):
-            cell = (kernel_index, config_index)
-            if cell in crashed_cells:
-                skipped.append((kernel.name, config))
-                continue
-            measurement = cell_measurements.get(cell)
-            if measurement is None:
-                raise ValidationError(
-                    f"shard merge is missing cell {cell} "
-                    f"({kernel.name} @ {config}): the shards do not cover "
-                    "the requested grid"
-                )
-            if faultlib.UNREADABLE in measurement.quality:
-                skipped.append((kernel.name, measurement.requested_config))
-                continue
-            rows.append(
-                TrainingRow(
-                    kernel_name=kernel.name,
-                    config=measurement.applied_config,
-                    measured_watts=measurement.average_watts,
-                    utilizations=utilization_by_kernel[kernel.name],
-                    quality=measurement.quality,
-                )
-            )
-    return tuple(rows), tuple(skipped)
 
 
 def collect_campaign_sharded(
@@ -209,90 +85,34 @@ def collect_campaign_sharded(
 ) -> Tuple[TrainingDataset, CampaignReport]:
     """Run the measurement campaign sharded across worker processes.
 
-    Bitwise-equivalent to :func:`repro.core.dataset.collect_campaign` on
-    the grid path: same dataset, same report (fault tallies and virtual
-    backoff are folded back into ``session``'s stats, so the report deltas
-    match the serial session's). Telemetry-off sessions take the columnar
-    zero-copy path; tracing sessions take the legacy object path so the
-    merged trace stays worker-count invariant. ``fail_shards`` injects
-    :class:`~repro.parallel.worker.ShardCrashError` into the named shards
-    to exercise crash recovery. Pass ``executor`` to force a specific pool
-    (default: the persistent shared pool / a private pool for the traced
-    path); ``transport`` overrides the planner's ``"shm"``/``"bytes"``
-    choice on the columnar path.
+    Bitwise-equivalent to :func:`repro.core.dataset.collect_campaign`:
+    same dataset, same report (fault tallies and virtual backoff are
+    folded back into ``session``'s stats, so the report deltas match the
+    serial session's), same span tree. ``fail_shards`` crashes the named
+    shards after profiling to exercise crash recovery. Pass ``executor``
+    to force a specific pool (default: the persistent shared pool);
+    ``transport`` overrides the planner's ``"shm"``/``"bytes"`` choice.
     """
-    if not kernels:
-        raise ValidationError("no kernels supplied for training")
-    if not isinstance(workers, str) and workers < 1:
-        raise ValidationError(f"workers must be >= 1, got {workers}")
-    spec = session.gpu.spec
-    if configs is None:
-        configs = spec.all_configurations()
-    requested = tuple(spec.validate_configuration(c) for c in configs)
+    requested = campaign_grid(session, kernels, configs)
+    kernels = tuple(kernels)
+    resolved = resolve_workers(workers)
     device = DeviceSpec.from_session(session)
-    if device.telemetry:
-        return _collect_campaign_traced(
-            session,
-            tuple(kernels),
-            requested,
-            device,
-            workers=workers if not isinstance(workers, str) else 2,
-            shard_size=shard_size,
-            fail_shards=fail_shards,
-            executor=executor,
-        )
-    return _collect_campaign_columns(
-        session,
-        tuple(kernels),
-        requested,
-        device,
-        workers=workers,
-        shard_size=shard_size,
-        fail_shards=fail_shards,
-        executor=executor,
-        transport=transport,
-    )
-
-
-# ----------------------------------------------------------------------
-# Columnar zero-copy path (telemetry off)
-# ----------------------------------------------------------------------
-def _collect_campaign_columns(
-    session: ProfilingSession,
-    kernels: Tuple[KernelDescriptor, ...],
-    requested: Tuple[FrequencyConfig, ...],
-    device: DeviceSpec,
-    *,
-    workers,
-    shard_size: Optional[int],
-    fail_shards: Collection[int],
-    executor: Optional[Executor],
-    transport: Optional[str],
-) -> Tuple[TrainingDataset, CampaignReport]:
-    spec = session.gpu.spec
-    recorder = session.recorder
-    stats = session.fault_stats
-    baseline = (
-        stats.read_faults,
-        stats.clock_faults,
-        stats.event_faults,
-        stats.dropped_samples,
-        stats.injected_throttles,
-        stats.corrupted_counters,
-    )
-    backoff_before = session.backoff_clock.total_seconds
-
+    n_configs = len(requested)
     plan = plan_campaign(
         len(kernels),
-        len(requested),
-        workers,
+        n_configs,
+        resolved,
         shard_size=shard_size,
         transport=transport,
     )
-    shards = partition_kernel_rows(len(kernels), plan.shard_kernels)
-    n_configs = len(requested)
+    shard_kernels = plan.shard_kernels
+    if device.telemetry and shard_size is None:
+        shard_kernels = MAX_SHARD_KERNELS
+    shards = partition_kernel_rows(len(kernels), shard_kernels)
     n_cells = len(kernels) * n_configs
     fail_set = frozenset(fail_shards)
+    recorder = session.recorder
+    before = fault_snapshot(session)
 
     pool: Optional[poollib.WorkerPool] = None
     if executor is not None:
@@ -301,27 +121,7 @@ def _collect_campaign_columns(
         pool = poollib.shared_pool(plan.workers)
         submit = pool.submit
 
-    use_arena = plan.transport == "shm" and n_cells > 0
-    results: List[Optional[ShardColumnsResult]] = []
-    failed_tasks = 0
-
-    def _consume(futures) -> None:
-        nonlocal failed_tasks
-        for future in futures:
-            try:
-                results.append(future.result())
-            except Exception as error:
-                # A crashed columnar task loses its profiling results too:
-                # the shard's kernels degrade to skipped kernels (the
-                # injected-crash hook returns crashed=True instead and
-                # keeps its utilizations).
-                failed_tasks += 1
-                recorder.add("shards.failed")
-                if pool is not None and isinstance(error, BrokenProcessPool):
-                    pool.broken = True
-                results.append(None)
-
-    def _submit_all(arena_handle) -> None:
+    def run_shards(arena_handle) -> List[Optional[ShardColumnsResult]]:
         futures = [
             submit(
                 workerlib.run_shard_columns,
@@ -338,276 +138,88 @@ def _collect_campaign_columns(
             )
             for shard in shards
         ]
-        _consume(futures)
+        results: List[Optional[ShardColumnsResult]] = []
+        for future in futures:
+            try:
+                results.append(future.result())
+            except Exception as error:
+                recorder.add("shards.failed")
+                if pool is not None and isinstance(error, BrokenProcessPool):
+                    pool.broken = True
+                results.append(None)
+        return results
 
-    if use_arena:
-        with ColumnArena(n_cells) as arena:
-            _submit_all(arena.handle)
-            block = arena.read()
-        watts_all = block.watts
-        core_all = block.core_mhz
-        memory_all = block.memory_mhz
-        quality_all = block.quality
-    else:
-        _submit_all(None)
-        watts_all = np.zeros(n_cells, dtype=np.float64)
-        core_all = np.zeros(n_cells, dtype=np.float64)
-        memory_all = np.zeros(n_cells, dtype=np.float64)
-        quality_all = np.zeros(n_cells, dtype=np.uint8)
+    with recorder.span(
+        "campaign",
+        device=session.gpu.spec.name,
+        kernels=len(kernels),
+        configs=n_configs,
+        sharded=True,
+        workers=resolved,
+    ) as campaign_span:
+        if plan.transport == "shm":
+            with ColumnArena(n_cells) as arena:
+                results = run_shards(arena.handle)
+                merged = arena.read()
+            watts = merged.watts
+            core_mhz = merged.core_mhz
+            memory_mhz = merged.memory_mhz
+            quality = merged.quality
+        else:
+            results = run_shards(None)
+            watts = np.zeros(n_cells, dtype=np.float64)
+            core_mhz = np.zeros(n_cells, dtype=np.float64)
+            memory_mhz = np.zeros(n_cells, dtype=np.float64)
+            quality = np.zeros(n_cells, dtype=np.uint8)
+            for shard, result in zip(shards, results):
+                if result is None or result.payload is None:
+                    continue
+                start, stop = shard.row_range(n_configs)
+                piece = unpack_columns(result.payload)
+                watts[start:stop] = piece.watts
+                core_mhz[start:stop] = piece.core_mhz
+                memory_mhz[start:stop] = piece.memory_mhz
+                quality[start:stop] = piece.quality
+
+        # Fault counters and recorders fold in shard order. Backoff is a
+        # float running sum: replay every shard's profile sleeps, then
+        # every shard's measure sleeps — the serial campaign's
+        # profile-everything-then-measure-everything sequence.
+        utilizations: List[Optional[UtilizationVector]] = []
         for shard, result in zip(shards, results):
-            if result is None or result.payload is None:
+            if result is None:
+                utilizations.extend([None] * shard.kernel_count)
                 continue
-            start, stop = shard.row_range(n_configs)
-            piece = unpack_columns(result.payload)
-            watts_all[start:stop] = piece.watts
-            core_all[start:stop] = piece.core_mhz
-            memory_all[start:stop] = piece.memory_mhz
-            quality_all[start:stop] = piece.quality
-
-    # Fault counters are commutative; fold them per shard. Backoff is not
-    # (float addition): replay every shard's profile sleeps, then every
-    # shard's measure sleeps, in shard order — exactly the serial
-    # campaign's profile-everything-then-measure-everything sequence.
-    clock = session.backoff_clock
-    for result in results:
-        if result is not None:
-            workerlib.apply_stats(stats, clock, result.stats)
-    for phase_sleeps in (
-        (r.profile_sleeps for r in results if r is not None),
-        (r.measure_sleeps for r in results if r is not None),
-    ):
-        for sleeps in phase_sleeps:
+            utilizations.extend(result.utilizations)
+            workerlib.apply_stats(session.fault_stats, result.stats)
+            if result.recorder is not None:
+                recorder.absorb(result.recorder)
+            if result.crashed:
+                start, stop = shard.row_range(n_configs)
+                quality[start:stop] = _UNREADABLE_BIT
+        clock = session.backoff_clock
+        done = [result for result in results if result is not None]
+        for sleeps in [r.profile_sleeps for r in done] + [
+            r.measure_sleeps for r in done
+        ]:
             for seconds in sleeps:
                 clock.total_seconds += seconds
                 clock.sleep_log.append(seconds)
 
-    # Merge kernel-major: walk shards (contiguous kernel ranges in order)
-    # and classify each kernel, then select its usable cells.
-    kernel_names_block: List[str] = []
-    utilization_block: List[UtilizationVector] = []
-    skipped_kernels: List[str] = []
-    skipped_cells: List[Tuple[str, FrequencyConfig]] = []
-    kept_slices: List[Tuple[int, np.ndarray]] = []  # (block index, cell idx)
-
-    for shard, result in zip(shards, results):
-        shard_kernels = kernels[
-            shard.kernel_start : shard.kernel_start + shard.kernel_count
-        ]
-        if result is None:
-            skipped_kernels.extend(k.name for k in shard_kernels)
-            continue
-        for position, kernel in enumerate(shard_kernels):
-            name, utilization = result.utilizations[position]
-            if utilization is None:
-                skipped_kernels.append(name)
-                continue
-            block_index = len(kernel_names_block)
-            kernel_names_block.append(name)
-            utilization_block.append(utilization)
-            if result.crashed:
-                skipped_cells.extend(
-                    (name, config) for config in requested
-                )
-                continue
-            start = (shard.kernel_start + position) * n_configs
-            cell_indices = np.arange(start, start + n_configs)
-            unreadable = (
-                quality_all[cell_indices] & _UNREADABLE_BIT
-            ).astype(bool)
-            if unreadable.any():
-                skipped_cells.extend(
-                    (name, requested[int(offset)])
-                    for offset in np.nonzero(unreadable)[0]
-                )
-                cell_indices = cell_indices[~unreadable]
-            kept_slices.append((block_index, cell_indices))
-
-    if not kept_slices:
-        raise ValidationError(
-            "measurement campaign produced no usable rows (every kernel or "
-            "cell was skipped)"
+        campaign_span.set(
+            shards=len(shards),
+            failed_tasks=sum(result is None for result in results),
         )
-    kept = np.concatenate([indices for _, indices in kept_slices])
-    kernel_indices = np.concatenate(
-        [
-            np.full(len(indices), block_index, dtype=int)
-            for block_index, indices in kept_slices
-        ]
-    )
-    columns = DatasetColumns(
-        kernel_names=tuple(kernel_names_block),
-        utilizations=tuple(utilization_block),
-        kernel_indices=kernel_indices,
-        core_mhz=core_all[kept],
-        memory_mhz=memory_all[kept],
-        measured_watts=watts_all[kept],
-        quality_codes=quality_all[kept],
-    )
-    dataset = TrainingDataset(spec=spec, columns=columns)
-    report = build_campaign_report(
-        session,
-        spec=spec,
-        surviving_count=len(kernel_names_block),
-        config_count=n_configs,
-        skipped_cells=tuple(skipped_cells),
-        skipped_kernels=tuple(skipped_kernels),
-        stats_baseline=baseline,
-        backoff_before=backoff_before,
-        quality=QualityTally.from_codes(columns.quality_codes),
-    )
-    return dataset, report
-
-
-# ----------------------------------------------------------------------
-# Legacy object path (telemetry on)
-# ----------------------------------------------------------------------
-def _collect_campaign_traced(
-    session: ProfilingSession,
-    kernels: Tuple[KernelDescriptor, ...],
-    requested: Tuple[FrequencyConfig, ...],
-    device: DeviceSpec,
-    *,
-    workers: int,
-    shard_size: Optional[int],
-    fail_shards: Collection[int],
-    executor: Optional[Executor],
-) -> Tuple[TrainingDataset, CampaignReport]:
-    spec = session.gpu.spec
-    recorder = session.recorder
-    stats = session.fault_stats
-    baseline = (
-        stats.read_faults,
-        stats.clock_faults,
-        stats.event_faults,
-        stats.dropped_samples,
-        stats.injected_throttles,
-        stats.corrupted_counters,
-    )
-    backoff_before = session.backoff_clock.total_seconds
-
-    own_pool = executor is None
-    pool = (
-        executor
-        if executor is not None
-        else ProcessPoolExecutor(max_workers=workers)
-    )
-    try:
-        with recorder.span(
-            "campaign",
-            device=spec.name,
-            kernels=len(kernels),
-            configs=len(requested),
-            grid=True,
-            sharded=True,
-            workers=workers,
-        ) as campaign_span:
-            # ----------------------------------------------------------
-            # Phase 1 — profile every kernel at the reference config.
-            # ----------------------------------------------------------
-            chunks = _profile_chunks(kernels)
-            profile_futures = [
-                pool.submit(workerlib.profile_kernels, device, index, chunk)
-                for index, chunk in enumerate(chunks)
-            ]
-            utilization_by_kernel: Dict[str, UtilizationVector] = {}
-            skipped_kernels: List[str] = []
-            failed_tasks = 0
-            for chunk, future in zip(chunks, profile_futures):
-                try:
-                    result = future.result()
-                except Exception:
-                    # A crashed profiling chunk degrades like persistently
-                    # failing event collection: its kernels are skipped.
-                    failed_tasks += 1
-                    recorder.add("shards.failed")
-                    skipped_kernels.extend(k.name for k in chunk)
-                    continue
-                if result.recorder is not None:
-                    recorder.absorb(result.recorder)
-                workerlib.apply_stats(
-                    stats, session.backoff_clock, result.stats
-                )
-                for name, utilization in result.utilizations:
-                    if utilization is None:
-                        skipped_kernels.append(name)
-                    else:
-                        utilization_by_kernel[name] = utilization
-            surviving = [
-                k for k in kernels if k.name in utilization_by_kernel
-            ]
-
-            # ----------------------------------------------------------
-            # Phase 2 — measure the (surviving kernel x config) grid.
-            # ----------------------------------------------------------
-            if shard_size is None:
-                shard_size = len(requested) * DEFAULT_SHARD_KERNELS or 1
-            shards = partition_grid(
-                len(surviving), len(requested), shard_size
-            )
-            fail_set = frozenset(fail_shards)
-            measure_futures = [
-                pool.submit(
-                    workerlib.measure_shard,
-                    device,
-                    shard.index,
-                    _shard_groups(shard, surviving, requested),
-                    shard.index in fail_set,
-                )
-                for shard in shards
-            ]
-            cell_measurements: Dict[Cell, object] = {}
-            crashed_cells: set = set()
-            for shard, future in zip(shards, measure_futures):
-                try:
-                    result: MeasureTaskResult = future.result()
-                except Exception:
-                    failed_tasks += 1
-                    recorder.add("shards.failed")
-                    crashed_cells.update(shard.cells)
-                    continue
-                if result.recorder is not None:
-                    recorder.absorb(result.recorder)
-                workerlib.apply_stats(
-                    stats, session.backoff_clock, result.stats
-                )
-                cell_measurements.update(dict(result.measurements))
-
-            rows, skipped_cells = merge_measurements(
-                surviving,
-                requested,
-                utilization_by_kernel,
-                cell_measurements,
-                crashed_cells,
-            )
-            campaign_span.set(
-                rows=len(rows),
-                skipped_cells=len(skipped_cells),
-                skipped_kernels=len(skipped_kernels),
-                shards=len(shards),
-                failed_tasks=failed_tasks,
-            )
-    finally:
-        if own_pool:
-            pool.shutdown(wait=True)
-
-    if not rows:
-        raise ValidationError(
-            "measurement campaign produced no usable rows (every kernel or "
-            "cell was skipped)"
+        block = KernelRowBlock(
+            utilizations=tuple(utilizations),
+            watts=watts,
+            core_mhz=core_mhz,
+            memory_mhz=memory_mhz,
+            quality=quality,
         )
-    dataset = TrainingDataset(spec=spec, rows=rows)
-    report = build_campaign_report(
-        session,
-        spec=spec,
-        surviving_count=len(surviving),
-        config_count=len(requested),
-        rows=rows,
-        skipped_cells=skipped_cells,
-        skipped_kernels=tuple(skipped_kernels),
-        stats_baseline=baseline,
-        backoff_before=backoff_before,
-    )
-    return dataset, report
+        return finish_campaign(
+            session, kernels, requested, block, campaign_span, before
+        )
 
 
 def collect_training_dataset_sharded(

@@ -18,6 +18,7 @@ cannot perturb the campaign's bitwise determinism contract.
 from __future__ import annotations
 
 import math
+import numbers
 import os
 from dataclasses import dataclass
 from typing import Optional, Union
@@ -26,6 +27,7 @@ from repro.errors import ValidationError
 
 __all__ = [
     "FALLBACK_MIN_CELLS",
+    "MAX_SHARD_KERNELS",
     "SHM_MIN_CELLS",
     "CampaignPlan",
     "plan_campaign",
@@ -46,6 +48,11 @@ FALLBACK_MIN_CELLS = 512
 #: get large enough that an extra copy per shard is measurable.
 SHM_MIN_CELLS = 4096
 
+#: Widest adaptive shard, in kernel rows, so a huge campaign still
+#: pipelines. Traced campaigns always use this width: their partition must
+#: not follow the worker count (see :mod:`repro.parallel.executor`).
+MAX_SHARD_KERNELS = 4
+
 
 def usable_cpu_count() -> int:
     """Cores this process may schedule on (affinity-aware).
@@ -62,13 +69,12 @@ def usable_cpu_count() -> int:
 
 def resolve_workers(workers: Union[int, str]) -> int:
     """Turn a ``--workers`` value (int or ``"auto"``) into a worker count."""
-    if isinstance(workers, str):
-        if workers != "auto":
-            raise ValidationError(
-                f"workers must be a positive integer or 'auto', "
-                f"got {workers!r}"
-            )
+    if workers == "auto":
         return usable_cpu_count()
+    if isinstance(workers, bool) or not isinstance(workers, numbers.Integral):
+        raise ValidationError(
+            f"workers must be a positive integer or 'auto', got {workers!r}"
+        )
     if workers < 1:
         raise ValidationError(f"workers must be >= 1, got {workers}")
     return int(workers)
@@ -85,9 +91,9 @@ def should_fallback(n_kernels: int, n_configs: int, workers: int) -> bool:
 class CampaignPlan:
     """One campaign's execution shape, decided up front.
 
-    ``shard_kernels`` is the phase-2 shard width in whole kernel rows
-    (columnar shards always carry whole rows so workers drive the batched
-    grid path at full width); ``transport`` picks how column slices travel
+    ``shard_kernels`` is the shard width in whole kernel rows (shards
+    always carry whole rows so workers drive the batched grid measurement
+    at full width); ``transport`` picks how column slices travel
     back (``"shm"`` arena or pickled ``"bytes"``); ``reason`` is a
     human-readable one-liner for logs and tests.
     """
@@ -108,10 +114,10 @@ def plan_campaign(
 ) -> CampaignPlan:
     """Pick shard width and transport for one columnar sharded campaign.
 
-    ``shard_size`` (cells) is the legacy override — rounded down to whole
-    kernel rows, minimum one row. Without it the width adapts to the grid:
-    enough shards to feed every worker about twice, capped at the legacy
-    default of four rows so a huge campaign still pipelines.
+    ``shard_size`` (cells) is the explicit override — rounded down to
+    whole kernel rows, minimum one row. Without it the width adapts to the
+    grid: enough shards to feed every worker about twice, capped at
+    :data:`MAX_SHARD_KERNELS` rows so a huge campaign still pipelines.
     """
     resolved = resolve_workers(workers)
     if shard_size is not None:
@@ -125,7 +131,7 @@ def plan_campaign(
         # ~2 shards per worker balances pipelining against per-task cost;
         # pure function of (grid, workers) so the partition is stable.
         adaptive = math.ceil(n_kernels / max(resolved * 2, 1)) or 1
-        shard_kernels = max(1, min(4, adaptive))
+        shard_kernels = max(1, min(MAX_SHARD_KERNELS, adaptive))
         reason = f"adaptive for {n_kernels}x{n_configs} at {resolved} workers"
     if transport is None:
         transport = (

@@ -1,89 +1,31 @@
 """Deterministic partitioning of the (kernel x configuration) grid.
 
 The measurement grid is flattened kernel-major — exactly the order the
-serial campaign walks it — and chunked into fixed-size shards. The
-partition is a pure function of ``(n_kernels, n_configs, shard_size)``:
-worker count and scheduling never influence which cells land in which
-shard, which is half of the sharded campaign's determinism contract (the
-other half is the label-seeded noise/fault substrate, see
-:mod:`repro.parallel.spec`).
+serial campaign walks it — and chunked into shards of whole kernel rows.
+The partition is a pure function of ``(n_kernels, shard_kernels)``:
+scheduling never influences which cells land in which shard, which is half
+of the sharded campaign's determinism contract (the other half is the
+label-seeded noise/fault substrate, see :mod:`repro.parallel.spec`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Tuple
 
 from repro.errors import ValidationError
 
-__all__ = [
-    "Cell",
-    "RowShard",
-    "Shard",
-    "covered_cells",
-    "partition_grid",
-    "partition_kernel_rows",
-]
-
-#: One grid cell as (kernel index, configuration index).
-Cell = Tuple[int, int]
-
-
-@dataclass(frozen=True)
-class Shard:
-    """One contiguous slice of the flattened measurement grid."""
-
-    index: int
-    cells: Tuple[Cell, ...]
-
-    def __len__(self) -> int:
-        return len(self.cells)
-
-
-def partition_grid(
-    n_kernels: int, n_configs: int, shard_size: Optional[int] = None
-) -> Tuple[Shard, ...]:
-    """Split the grid into deterministic shards of ``shard_size`` cells.
-
-    Cells are enumerated kernel-major (all configurations of kernel 0, then
-    kernel 1, ...), matching the serial campaign's row order. The default
-    shard size is one kernel's worth of cells (``n_configs``), so by default
-    each shard is exactly one kernel row and workers reuse the batched
-    per-kernel grid path at full width.
-    """
-    if n_kernels < 0 or n_configs < 0:
-        raise ValidationError(
-            f"grid dimensions must be non-negative, got "
-            f"{n_kernels} x {n_configs}"
-        )
-    if shard_size is None:
-        shard_size = n_configs or 1
-    if shard_size < 1:
-        raise ValidationError(f"shard size must be >= 1, got {shard_size}")
-    cells = [
-        (kernel, config)
-        for kernel in range(n_kernels)
-        for config in range(n_configs)
-    ]
-    return tuple(
-        Shard(index=index, cells=tuple(cells[start : start + shard_size]))
-        for index, start in enumerate(range(0, len(cells), shard_size))
-    )
-
-
-def covered_cells(shards: Sequence[Shard]) -> Tuple[Cell, ...]:
-    """Every cell of a shard list, concatenated in shard order."""
-    return tuple(cell for shard in shards for cell in shard.cells)
+__all__ = ["RowShard", "partition_kernel_rows"]
 
 
 @dataclass(frozen=True)
 class RowShard:
-    """A contiguous run of whole kernel rows — one columnar shard.
+    """A contiguous run of whole kernel rows — one campaign shard.
 
-    The zero-copy executor always shards on whole rows: each worker then
-    drives the batched per-kernel grid path at full width and its column
-    slice is one contiguous arena range, ``[kernel_start * n_configs,
-    (kernel_start + kernel_count) * n_configs)``.
+    The executor always shards on whole rows: each worker then drives the
+    batched grid measurement at full width and its column slice is one
+    contiguous arena range, ``[kernel_start * n_configs, (kernel_start +
+    kernel_count) * n_configs)``.
     """
 
     index: int
@@ -101,8 +43,8 @@ def partition_kernel_rows(
 ) -> Tuple[RowShard, ...]:
     """Split ``n_kernels`` rows into shards of ``shard_kernels`` rows.
 
-    Like :func:`partition_grid`, a pure function of its arguments — worker
-    count and scheduling never shift shard boundaries.
+    A pure function of its arguments — scheduling never shifts shard
+    boundaries.
     """
     if n_kernels < 0:
         raise ValidationError(

@@ -1,19 +1,16 @@
-"""Process-pool task entry points of the sharded campaign.
+"""Process-pool task of the sharded campaign.
 
-Module-level functions (picklable by reference) that rebuild the device
-from a :class:`~repro.parallel.spec.DeviceSpec`, run one chunk of work and
-hand back frozen, picklable results. Two task kinds mirror the serial
-campaign's two phases:
-
-* :func:`profile_kernels` — events (hence utilizations) at the reference
-  configuration for a chunk of kernels;
-* :func:`measure_shard` — the power measurements of one grid shard, via
-  the batched per-kernel grid path.
-
-Workers emit the same per-kernel ``profile``/``measure`` spans and the same
-``rows.collected`` / ``rows.degraded`` / ``cells.skipped`` /
-``kernels.skipped`` counters as the serial campaign, into a recorder of
-their own that the executor later absorbs in deterministic shard order.
+One module-level task, picklable by reference: :func:`run_shard_columns`
+rebuilds the device from a :class:`~repro.parallel.spec.DeviceSpec` and
+runs :func:`repro.core.dataset.measure_kernel_rows` — the same measurement
+task the serial campaign applies to the whole grid — on one
+whole-kernel-row shard. The shard's power/clock/quality columns go
+straight into the parent's shared-memory arena (or come back packed as
+bytes); only a thin envelope is pickled: utilizations, fault tallies, the
+backoff sleeps split into profile and measure phases and, with telemetry
+on, the task's recorder. Workers record no spans: the parent emits the
+campaign's span tree from the merged columns, exactly as the serial
+campaign does, and absorbs the workers' counters in shard order.
 """
 
 from __future__ import annotations
@@ -22,54 +19,36 @@ import pickle
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
-import numpy as np
-
-from repro.core.metrics import MetricCalculator, UtilizationVector
-from repro.driver import faults as faultlib
-from repro.driver.faults import BackoffClock, FaultStats
-from repro.driver.nvml import PowerMeasurement
+from repro.core.dataset import measure_kernel_rows
+from repro.core.metrics import UtilizationVector
+from repro.driver.faults import FaultStats
 from repro.driver.session import ProfilingSession
-from repro.errors import PersistentDriverError, ReproError
 from repro.hardware.gpu import SimulatedGPU
 from repro.hardware.specs import FrequencyConfig
 from repro.kernels.kernel import KernelDescriptor
-from repro.parallel.sharding import Cell
 from repro.parallel.spec import DeviceSpec
 from repro.parallel.transport import ArenaHandle, pack_columns, write_arena_slice
 from repro.telemetry.recorder import TelemetryRecorder
 
 __all__ = [
-    "KernelCells",
-    "MeasureTaskResult",
-    "ProfileTaskResult",
     "ShardColumnsResult",
-    "ShardCrashError",
     "WorkerStats",
-    "measure_shard",
+    "apply_stats",
     "prepare_worker",
-    "profile_kernels",
     "run_shard_columns",
-]
-
-
-class ShardCrashError(ReproError):
-    """Deliberate worker crash — the crash-recovery test/chaos hook."""
-
-
-#: Per-kernel slice of one shard: (kernel index, kernel, ((config index,
-#: configuration), ...)) with configurations in grid order.
-KernelCells = Tuple[
-    Tuple[int, KernelDescriptor, Tuple[Tuple[int, FrequencyConfig], ...]], ...
 ]
 
 
 @dataclass(frozen=True)
 class WorkerStats:
-    """Fault tally + virtual backoff one task accumulated.
+    """Fault tally one task accumulated.
 
     Worker sessions start from zero, so these are exactly the deltas the
     serial campaign would have added to its session-wide
-    :class:`~repro.driver.faults.FaultStats` for the same cells.
+    :class:`~repro.driver.faults.FaultStats` for the same cells. Backoff
+    sleeps travel separately (:class:`ShardColumnsResult`): float addition
+    is not associative, so the parent replays them one by one in the
+    serial campaign's order instead of summing per-worker subtotals.
     """
 
     read_faults: int = 0
@@ -79,12 +58,6 @@ class WorkerStats:
     dropped_samples: int = 0
     injected_throttles: int = 0
     corrupted_counters: int = 0
-    #: Every backoff the task slept, in order. The parent replays these one
-    #: by one onto its own clock: float addition is not associative, so
-    #: summing per-worker subtotals would differ from the serial campaign's
-    #: single running sum in the last bits — replaying the global sleep
-    #: sequence keeps ``CampaignReport.backoff_seconds`` bitwise identical.
-    sleep_log: Tuple[float, ...] = ()
 
 
 def _stats_of(session: ProfilingSession) -> WorkerStats:
@@ -97,14 +70,11 @@ def _stats_of(session: ProfilingSession) -> WorkerStats:
         dropped_samples=stats.dropped_samples,
         injected_throttles=stats.injected_throttles,
         corrupted_counters=stats.corrupted_counters,
-        sleep_log=tuple(session.backoff_clock.sleep_log),
     )
 
 
-def apply_stats(
-    stats: FaultStats, clock: BackoffClock, delta: WorkerStats
-) -> None:
-    """Fold one task's tally into a parent session's stats/backoff clock."""
+def apply_stats(stats: FaultStats, delta: WorkerStats) -> None:
+    """Fold one task's tally into a parent session's stats."""
     stats.read_faults += delta.read_faults
     stats.clock_faults += delta.clock_faults
     stats.event_faults += delta.event_faults
@@ -112,31 +82,32 @@ def apply_stats(
     stats.dropped_samples += delta.dropped_samples
     stats.injected_throttles += delta.injected_throttles
     stats.corrupted_counters += delta.corrupted_counters
-    # Direct accumulation (not .sleep()): the worker's recorder already
-    # counted backoff.virtual_seconds; absorbing it must not double-count.
-    for seconds in delta.sleep_log:
-        clock.total_seconds += seconds
-        clock.sleep_log.append(seconds)
 
 
 @dataclass(frozen=True)
-class ProfileTaskResult:
-    """Utilizations of one kernel chunk (``None`` marks a skipped kernel)."""
+class ShardColumnsResult:
+    """One shard's outcome: utilizations + everything but the columns.
 
-    chunk_index: int
-    utilizations: Tuple[Tuple[str, Optional[UtilizationVector]], ...]
-    stats: WorkerStats
-    recorder: Optional[TelemetryRecorder]
-
-
-@dataclass(frozen=True)
-class MeasureTaskResult:
-    """Power measurements of one shard, keyed by grid cell."""
+    The power/clock/quality columns travel out of band — written straight
+    into the parent's shared-memory arena (``payload is None``) or packed
+    into one byte blob for small campaigns. ``profile_sleeps`` and
+    ``measure_sleeps`` are kept apart so the parent can replay *all*
+    profile backoffs before *all* measure backoffs, matching the serial
+    campaign's phase order bit for bit.
+    """
 
     shard_index: int
-    measurements: Tuple[Tuple[Cell, PowerMeasurement], ...]
+    #: Per shard kernel, in shard order (``None`` marks a skipped kernel).
+    utilizations: Tuple[Optional[UtilizationVector], ...]
     stats: WorkerStats
-    recorder: Optional[TelemetryRecorder]
+    profile_sleeps: Tuple[float, ...]
+    measure_sleeps: Tuple[float, ...]
+    payload: Optional[bytes]
+    #: Injected crash (the chaos hook): utilizations survive, the shard's
+    #: cells degrade to skipped cells.
+    crashed: bool = False
+    #: The task's trace recorder (counters only) when telemetry is on.
+    recorder: Optional[TelemetryRecorder] = None
 
 
 # ----------------------------------------------------------------------
@@ -147,8 +118,8 @@ class MeasureTaskResult:
 #: pure function of (kernel, configuration), so reusing a board across
 #: tasks changes no observable output — except the run-cache telemetry
 #: counters, which is why the cache is bypassed when telemetry is on (each
-#: traced task gets a cold board, making its trace a pure function of the
-#: task itself rather than of scheduling history).
+#: traced task gets a cold board, making its counters a pure function of
+#: the task itself rather than of scheduling history).
 _GPU_CACHE: Dict[bytes, SimulatedGPU] = {}
 
 
@@ -161,125 +132,6 @@ def _session_for(device: DeviceSpec) -> ProfilingSession:
         gpu = device.build_gpu()
         _GPU_CACHE[key] = gpu
     return device.build_session(gpu=gpu)
-
-
-# ----------------------------------------------------------------------
-# Task bodies
-# ----------------------------------------------------------------------
-def profile_kernels(
-    device: DeviceSpec,
-    chunk_index: int,
-    kernels: Tuple[KernelDescriptor, ...],
-) -> ProfileTaskResult:
-    """Phase-1 task: collect events / utilizations for a chunk of kernels.
-
-    Mirrors the serial campaign exactly: the session-level retry loop runs
-    per kernel, and a kernel whose event collection keeps failing is
-    reported as ``None`` (the executor records it as skipped).
-    """
-    session = _session_for(device)
-    recorder = session.recorder
-    calculator = MetricCalculator(device.gpu_spec)
-    collected = []
-    for kernel in kernels:
-        with recorder.span("profile", kernel=kernel.name) as profile_span:
-            try:
-                record = session.collect_events(kernel)
-            except PersistentDriverError:
-                profile_span.set(skipped=True)
-                recorder.add("kernels.skipped")
-                collected.append((kernel.name, None))
-                continue
-        collected.append((kernel.name, calculator.utilizations(record)))
-    return ProfileTaskResult(
-        chunk_index=chunk_index,
-        utilizations=tuple(collected),
-        stats=_stats_of(session),
-        recorder=recorder if device.telemetry else None,
-    )
-
-
-def measure_shard(
-    device: DeviceSpec,
-    shard_index: int,
-    groups: KernelCells,
-    fail: bool = False,
-) -> MeasureTaskResult:
-    """Phase-2 task: measure one shard of the power grid.
-
-    Each per-kernel group goes through the batched grid path
-    (:meth:`~repro.driver.session.ProfilingSession.measure_grid`), whose
-    cells are bitwise identical to scalar walks — and, because every noise
-    and fault draw is keyed by (device, kernel, cell) labels, identical no
-    matter which configuration subset the shard happens to carry.
-    ``fail=True`` raises before measuring anything (crash-recovery hook).
-    """
-    if fail:
-        raise ShardCrashError(f"shard {shard_index} crashed (injected)")
-    session = _session_for(device)
-    recorder = session.recorder
-    measurements = []
-    # Shards holding several *whole* kernel rows share one batched grid
-    # call (every cell is bitwise identical either way — the grid path's
-    # contract — but one call keeps the vectorized fast path wide).
-    config_tuples = {tuple(index for index, _ in cells) for _, _, cells in groups}
-    if len(groups) > 1 and len(config_tuples) == 1:
-        shared_configs = tuple(config for _, config in groups[0][2])
-        grid = session.measure_grid(
-            [kernel for _, kernel, _ in groups],
-            shared_configs,
-            on_unreadable="skip",
-        )
-        per_kernel_rows = grid.measurements
-    else:
-        per_kernel_rows = tuple(
-            session.measure_grid(
-                [kernel],
-                tuple(config for _, config in cells),
-                on_unreadable="skip",
-            ).measurements[0]
-            for _, kernel, cells in groups
-        )
-    for (kernel_index, kernel, cells), row in zip(groups, per_kernel_rows):
-        with recorder.span("measure", kernel=kernel.name):
-            for (config_index, _), measurement in zip(cells, row):
-                _record_cell(recorder, measurement)
-                measurements.append(
-                    ((kernel_index, config_index), measurement)
-                )
-    return MeasureTaskResult(
-        shard_index=shard_index,
-        measurements=tuple(measurements),
-        stats=_stats_of(session),
-        recorder=recorder if device.telemetry else None,
-    )
-
-
-@dataclass(frozen=True)
-class ShardColumnsResult:
-    """One columnar shard's outcome: utilizations + column slices.
-
-    The power/clock/quality columns themselves travel out of band — written
-    straight into the parent's shared-memory arena (``payload is None``) or
-    packed into one byte blob for small campaigns. Only this thin envelope
-    is pickled. ``profile_sleeps``/``measure_sleeps`` are kept separate so
-    the parent can replay *all* profile backoffs before *all* measure
-    backoffs, matching the serial campaign's phase order bit for bit
-    (float addition is not associative); :attr:`stats` carries the fault
-    counters only (its sleep log is empty — replay is the executor's job).
-    """
-
-    shard_index: int
-    #: Per shard kernel, in shard order (``None`` marks a skipped kernel).
-    utilizations: Tuple[Tuple[str, Optional[UtilizationVector]], ...]
-    stats: WorkerStats
-    profile_sleeps: Tuple[float, ...]
-    measure_sleeps: Tuple[float, ...]
-    payload: Optional[bytes]
-    #: Injected crash (the chaos hook): utilizations survive, the shard's
-    #: cells degrade to skipped — mirroring the legacy two-phase behavior
-    #: where only the measure task crashed.
-    crashed: bool = False
 
 
 def prepare_worker(device: DeviceSpec) -> bool:
@@ -297,104 +149,31 @@ def run_shard_columns(
     arena: Optional[ArenaHandle] = None,
     fail: bool = False,
 ) -> ShardColumnsResult:
-    """Combined single-phase task: profile + measure whole kernel rows.
+    """Profile + measure whole kernel rows in a worker process.
 
-    The zero-copy fast path (telemetry off): events/utilizations for every
-    kernel of the shard, then the full power grid of the surviving kernels
-    through :meth:`~repro.driver.session.ProfilingSession.measure_grid_columns`
-    — no per-cell measurement objects anywhere. The shard's column slice
-    (``len(kernels) * len(configs)`` cells, kernel-major, zeros where a
-    kernel was skipped) lands in the parent's arena at ``row_start`` or
-    comes back packed as bytes.
+    The shard's column slice (``len(kernels) * len(configs)`` cells,
+    kernel-major) lands in the parent's arena at ``row_start`` or comes
+    back packed as bytes. An empty ``configs`` profiles only. ``fail=True``
+    crashes the shard after profiling (the crash-recovery hook): no
+    columns, ``crashed`` set.
     """
     session = _session_for(device)
-    clock = session.backoff_clock
-    calculator = MetricCalculator(device.gpu_spec)
-    collected = []
-    surviving: list = []
-    for position, kernel in enumerate(kernels):
-        try:
-            record = session.collect_events(kernel)
-        except PersistentDriverError:
-            collected.append((kernel.name, None))
-            continue
-        collected.append((kernel.name, calculator.utilizations(record)))
-        surviving.append((position, kernel))
-    profile_sleep_count = len(clock.sleep_log)
-
-    def _result(payload: Optional[bytes], crashed: bool) -> ShardColumnsResult:
-        stats = _stats_of(session)
-        sleeps = stats.sleep_log
-        return ShardColumnsResult(
-            shard_index=shard_index,
-            utilizations=tuple(collected),
-            stats=WorkerStats(
-                read_faults=stats.read_faults,
-                clock_faults=stats.clock_faults,
-                event_faults=stats.event_faults,
-                unreadable_cells=stats.unreadable_cells,
-                dropped_samples=stats.dropped_samples,
-                injected_throttles=stats.injected_throttles,
-                corrupted_counters=stats.corrupted_counters,
-            ),
-            profile_sleeps=sleeps[:profile_sleep_count],
-            measure_sleeps=sleeps[profile_sleep_count:],
-            payload=payload,
-            crashed=crashed,
-        )
-
-    if fail:
-        return _result(payload=None, crashed=True)
-
-    n_configs = len(configs)
-    n_cells = len(kernels) * n_configs
-    watts = np.zeros(n_cells, dtype=np.float64)
-    core_mhz = np.zeros(n_cells, dtype=np.float64)
-    memory_mhz = np.zeros(n_cells, dtype=np.float64)
-    quality = np.zeros(n_cells, dtype=np.uint8)
-    if surviving and n_configs:
-        columns = session.measure_grid_columns(
-            [kernel for _, kernel in surviving],
-            configs,
-            on_unreadable="skip",
-        )
-        for j, (position, _) in enumerate(surviving):
-            src = slice(j * n_configs, (j + 1) * n_configs)
-            dst = slice(position * n_configs, (position + 1) * n_configs)
-            watts[dst] = columns.watts[src]
-            core_mhz[dst] = columns.applied_core_mhz[src]
-            memory_mhz[dst] = columns.applied_mem_mhz[src]
-            quality[dst] = columns.quality[src]
-    if arena is not None:
-        write_arena_slice(
-            arena, row_start, watts, core_mhz, memory_mhz, quality
-        )
-        return _result(payload=None, crashed=False)
-    return _result(
-        payload=pack_columns(watts, core_mhz, memory_mhz, quality),
-        crashed=False,
+    block = measure_kernel_rows(session, kernels, () if fail else configs)
+    sleeps = tuple(session.backoff_clock.sleep_log)
+    payload = None
+    if not fail:
+        columns = (block.watts, block.core_mhz, block.memory_mhz, block.quality)
+        if arena is not None:
+            write_arena_slice(arena, row_start, *columns)
+        else:
+            payload = pack_columns(*columns)
+    return ShardColumnsResult(
+        shard_index=shard_index,
+        utilizations=block.utilizations,
+        stats=_stats_of(session),
+        profile_sleeps=sleeps[: block.profile_sleeps],
+        measure_sleeps=sleeps[block.profile_sleeps :],
+        payload=payload,
+        crashed=fail,
+        recorder=session.recorder if device.telemetry else None,
     )
-
-
-def _record_cell(
-    recorder: TelemetryRecorder, measurement: PowerMeasurement
-) -> None:
-    """Emit the serial campaign's per-cell span/counters for one cell."""
-    if faultlib.UNREADABLE in measurement.quality:
-        with recorder.span(
-            "cell",
-            core=measurement.requested_config.core_mhz,
-            memory=measurement.requested_config.memory_mhz,
-        ) as cell_span:
-            cell_span.set(skipped=True)
-            recorder.add("cells.skipped")
-        return
-    with recorder.span(
-        "cell",
-        core=measurement.applied_config.core_mhz,
-        memory=measurement.applied_config.memory_mhz,
-    ) as cell_span:
-        if measurement.quality:
-            cell_span.set(quality=list(measurement.quality))
-            recorder.add("rows.degraded")
-        recorder.add("rows.collected")

@@ -133,7 +133,7 @@ class OnlineDVFSManager:
         from concurrent.futures import ProcessPoolExecutor
 
         from repro.parallel import worker as workerlib
-        from repro.parallel.executor import PROFILE_CHUNK_KERNELS
+        from repro.parallel.planner import MAX_SHARD_KERNELS
         from repro.parallel.spec import DeviceSpec
 
         unseen: List[KernelDescriptor] = []
@@ -146,8 +146,8 @@ class OnlineDVFSManager:
             return []
         device = DeviceSpec.from_session(self.session)
         chunks = [
-            tuple(unseen[start : start + PROFILE_CHUNK_KERNELS])
-            for start in range(0, len(unseen), PROFILE_CHUNK_KERNELS)
+            tuple(unseen[start : start + MAX_SHARD_KERNELS])
+            for start in range(0, len(unseen), MAX_SHARD_KERNELS)
         ]
         own_pool = executor is None
         pool = (
@@ -156,23 +156,27 @@ class OnlineDVFSManager:
             else ProcessPoolExecutor(max_workers=max(1, workers))
         )
         utilization_by_kernel: Dict[str, UtilizationVector] = {}
+        clock = self.session.backoff_clock
         try:
+            # The campaign's shard task with no configurations profiles
+            # only; its outcome folds back exactly like a campaign shard's.
             futures = [
-                pool.submit(workerlib.profile_kernels, device, index, chunk)
+                pool.submit(
+                    workerlib.run_shard_columns, device, index, chunk, (), 0
+                )
                 for index, chunk in enumerate(chunks)
             ]
-            for future in futures:
+            for chunk, future in zip(chunks, futures):
                 result = future.result()
                 if result.recorder is not None:
                     self.recorder.absorb(result.recorder)
-                workerlib.apply_stats(
-                    self.session.fault_stats,
-                    self.session.backoff_clock,
-                    result.stats,
-                )
-                for name, utilization in result.utilizations:
+                workerlib.apply_stats(self.session.fault_stats, result.stats)
+                for seconds in result.profile_sleeps:
+                    clock.total_seconds += seconds
+                    clock.sleep_log.append(seconds)
+                for kernel, utilization in zip(chunk, result.utilizations):
                     if utilization is not None:
-                        utilization_by_kernel[name] = utilization
+                        utilization_by_kernel[kernel.name] = utilization
         finally:
             if own_pool:
                 pool.shutdown(wait=True)

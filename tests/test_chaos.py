@@ -6,8 +6,9 @@ The headline resilience guarantees of the fault-injection layer:
   full suite x grid dataset completes, with per-cell quality flags;
 * the estimator fitted on the faulted dataset stays within 2 % RMSE (and
   small voltage deviations) of the fault-free fit;
-* the vectorized grid path and the scalar walk observe the *same* seeded
-  fault stream, so their datasets are identical row by row;
+* the columnar campaign and the scalar walk (:mod:`tests.oracles`)
+  observe the *same* seeded fault stream, so their datasets are identical
+  row by row;
 * everything is deterministic and no retry ever sleeps on the wall clock.
 """
 
@@ -25,6 +26,7 @@ from repro.hardware.gpu import SimulatedGPU
 from repro.microbench import build_suite
 from repro.telemetry import TraceRecorder
 from repro.units import closest_lower_level
+from tests.oracles import oracle_plan, scalar_campaign
 
 #: The acceptance setting: every transient fault class at 5 %.
 CHAOS_RATE = 0.05
@@ -130,13 +132,14 @@ class TestChaosCampaign:
 
 
 class TestChaosGridScalarEquivalence:
-    """Grid fast path and scalar walk observe identical fault streams."""
+    """Columnar campaign and scalar walk observe identical fault streams."""
 
     def test_grid_rows_identical_to_scalar_under_faults(self, lab, any_spec):
         kernels = lab.suite[:6]
         configs = any_spec.all_configurations()[:8]
-        # Clock-set faults stay off: the grid path performs no clock-set
-        # driver calls at all, so they are inherently path dependent.
+        # Clock-set faults stay off: the columnar campaign performs no
+        # clock-set driver calls at all, so they are inherently path
+        # dependent.
         plan = FaultPlan(
             seed=CHAOS_SEED,
             nvml_read_rate=CHAOS_RATE,
@@ -149,9 +152,7 @@ class TestChaosGridScalarEquivalence:
             SimulatedGPU(any_spec, fault_plan=plan)
         )
         fast, fast_report = collect_campaign(grid_session, kernels, configs)
-        slow, slow_report = collect_campaign(
-            scalar_session, kernels, configs, use_grid=False
-        )
+        slow, slow_report = scalar_campaign(scalar_session, kernels, configs)
         assert fast.rows == slow.rows
         assert fast_report.flagged_rows == slow_report.flagged_rows
         assert fast_report.flagged_rows > 0  # the rates guarantee faults
@@ -217,16 +218,30 @@ class TestChaosTelemetryCrossCheck:
         kernels = lab.suite[:16]
         configs = any_spec.all_configurations()[:8]
         repeats = session.settings.measurement_repeats
-        grid = session.measure_grid(kernels, configs, on_unreadable="skip")
+        columns = session.measure_grid_columns(
+            kernels, configs, on_unreadable="skip"
+        )
 
-        # Fault-free twin board: reproduces each cell's pre-injection
-        # applied configuration (fault plans never alter execution).
+        # Scalar twin session under the same fault stream (clock-set
+        # faults off — it sets clocks per cell): its measurements expose
+        # each cell's retry count and sample count. Fault-free twin board:
+        # reproduces each cell's pre-injection applied configuration
+        # (fault plans never alter execution).
+        scalar = ProfilingSession(
+            SimulatedGPU(any_spec, fault_plan=oracle_plan(plan))
+        )
         twin = SimulatedGPU(any_spec)
         name = any_spec.name
         read_faults = retries = throttles = dropped = 0
-        for kernel, row in zip(kernels, grid.measurements):
-            for m in row:
-                assert faultlib.UNREADABLE not in m.quality
+        cell_index = 0
+        for kernel in kernels:
+            for config in configs:
+                m = scalar.measure_power(kernel, config)
+                assert columns.watts[cell_index] == m.average_watts
+                assert columns.quality[cell_index] == faultlib.encode_quality(
+                    m.quality
+                )
+                cell_index += 1
                 cell = (
                     f"{m.requested_config.core_mhz:.0f}-"
                     f"{m.requested_config.memory_mhz:.0f}"

@@ -298,18 +298,19 @@ class TestNVMLFaults:
         device = NVMLDevice(_gpu(plan))
         kernel = workload_by_name("gemm")
         configs = GTX_TITAN_X.all_configurations()[:4]
-        grid = device.measure_power_grid(
+        columns = device.measure_power_grid_columns(
             [kernel], configs, on_unreadable="skip"
         )
-        for measurement in grid.measurements[0]:
-            assert measurement.quality == (faultlib.UNREADABLE,)
-            assert np.isnan(measurement.average_watts)
+        assert len(columns) == len(configs)
+        for code, watts in zip(columns.quality, columns.watts):
+            assert faultlib.decode_quality(code) == (faultlib.UNREADABLE,)
+            assert np.isnan(watts)
 
     def test_grid_raise_propagates_unreadable(self):
         plan = FaultPlan(nvml_read_rate=1.0, seed=1)
         device = NVMLDevice(_gpu(plan))
         with pytest.raises(PersistentDriverError):
-            device.measure_power_grid(
+            device.measure_power_grid_columns(
                 [workload_by_name("gemm")],
                 GTX_TITAN_X.all_configurations()[:4],
             )
@@ -317,7 +318,7 @@ class TestNVMLFaults:
     def test_grid_rejects_unknown_on_unreadable(self):
         device = NVMLDevice(_gpu())
         with pytest.raises(NVMLError):
-            device.measure_power_grid(
+            device.measure_power_grid_columns(
                 [workload_by_name("gemm")],
                 GTX_TITAN_X.all_configurations()[:2],
                 on_unreadable="ignore",

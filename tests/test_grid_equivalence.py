@@ -1,10 +1,11 @@
-"""Equivalence of the grid measurement fast path with the scalar walk.
+"""Equivalence of the columnar measurement campaign with the scalar walk.
 
-The fast path (``measure_power_grid`` / ``collect_training_dataset`` /
-the vectorized voltage step) is a pure optimization: every observable it
-produces must match the scalar code path — bitwise for the measurement
-layer, to well below 1e-9 for the estimator, whose vectorized reductions
-reassociate floating-point sums.
+The campaign (``measure_grid_columns`` / ``collect_campaign`` / the
+vectorized voltage step) is a pure optimization of measuring cell by cell:
+every observable it produces must match the scalar oracle
+(:mod:`tests.oracles`) — bitwise for the measurement layer, to well below
+1e-9 for the estimator, whose vectorized reductions reassociate
+floating-point sums.
 """
 
 from __future__ import annotations
@@ -12,18 +13,20 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.dataset import collect_training_dataset
+from repro.core.dataset import collect_campaign, collect_training_dataset
 from repro.core.estimation import ModelEstimator
 from repro.core.regression import (
     minimize_voltage_1d,
     minimize_voltage_1d_stats,
 )
+from repro.driver import faults as faultlib
 from repro.driver.faults import FaultPlan
 from repro.driver.session import ProfilingSession
 from repro.hardware.gpu import SimulatedGPU
 from repro.hardware.specs import ALL_GPUS
 from repro.microbench import build_suite
 from repro.telemetry import TraceRecorder
+from tests.oracles import scalar_campaign
 
 SPEC_IDS = [spec.name for spec in ALL_GPUS]
 
@@ -79,7 +82,8 @@ def _sample_configs(spec, count=6):
 
 @pytest.mark.parametrize("spec", ALL_GPUS, ids=SPEC_IDS)
 def test_grid_measurements_bitwise_identical_to_scalar(spec):
-    """5 kernels x 6 configs: every PowerMeasurement field matches exactly."""
+    """5 kernels x 6 configs: every column entry matches the scalar
+    measurement of its cell exactly."""
     kernels = build_suite()[:5]
     configs = _sample_configs(spec, count=6)
     session = ProfilingSession(SimulatedGPU(spec))
@@ -89,16 +93,26 @@ def test_grid_measurements_bitwise_identical_to_scalar(spec):
         for kernel in kernels
         for config in configs
     }
-    grid = session.measure_grid(kernels, configs)
+    columns = session.measure_grid_columns(kernels, configs)
 
-    assert grid.kernel_names == tuple(kernel.name for kernel in kernels)
-    for kernel, row in zip(kernels, grid.measurements):
-        assert len(row) == len(configs)
-        for config, measurement in zip(configs, row):
+    assert columns.kernel_names == tuple(kernel.name for kernel in kernels)
+    assert len(columns) == len(kernels) * len(configs)
+    cell = 0
+    for kernel in kernels:
+        for config in configs:
             expected = scalar[(kernel.name, config)]
-            # Bitwise: dataclass equality compares every field with ==,
-            # which for the float fields is exact equality.
-            assert measurement == expected
+            # Exact float equality: the columns must carry the same bits.
+            assert columns.watts[cell] == expected.average_watts
+            assert columns.applied_core_mhz[cell] == (
+                expected.applied_config.core_mhz
+            )
+            assert columns.applied_mem_mhz[cell] == (
+                expected.applied_config.memory_mhz
+            )
+            assert columns.quality[cell] == faultlib.encode_quality(
+                expected.quality
+            )
+            cell += 1
 
 
 @pytest.mark.parametrize("spec", ALL_GPUS, ids=SPEC_IDS)
@@ -108,8 +122,8 @@ def test_grid_dataset_rows_identical_to_scalar(spec):
     fast = collect_training_dataset(
         ProfilingSession(SimulatedGPU(spec)), kernels, configs
     )
-    scalar = collect_training_dataset(
-        ProfilingSession(SimulatedGPU(spec)), kernels, configs, use_grid=False
+    scalar, _ = scalar_campaign(
+        ProfilingSession(SimulatedGPU(spec)), kernels, configs
     )
     assert fast.rows == scalar.rows
 
@@ -152,10 +166,11 @@ def _logical_counters(recorder: TraceRecorder) -> dict:
     """Counter totals minus the ``run.*`` cache series.
 
     The run cache is the one deliberately path-dependent observable: the
-    grid path batches executions (and resolves idle-power baselines through
-    ``run_grid``), so its hit/miss split differs from the scalar walk even
-    though every *logical* event — faults, retries, rows, cells, samples —
-    is identical. Everything else must match exactly.
+    columnar campaign executes whole rows through ``run_grid_columns``,
+    which bypasses the per-cell run cache the scalar walk fills, so the
+    hit/miss split differs even though every *logical* event — faults,
+    retries, rows, cells, samples — is identical. Everything else must
+    match exactly.
     """
     return {
         name: value
@@ -164,50 +179,50 @@ def _logical_counters(recorder: TraceRecorder) -> dict:
     }
 
 
+def _traced_campaigns(spec, kernels, configs, plan=None):
+    """(columnar, scalar-oracle) recorders of the same traced campaign."""
+    recorders = []
+    for campaign in (collect_campaign, scalar_campaign):
+        recorder = TraceRecorder()
+        session = ProfilingSession(
+            SimulatedGPU(spec, fault_plan=plan, recorder=recorder)
+        )
+        campaign(session, kernels, configs)
+        recorders.append(recorder)
+    return recorders
+
+
 @pytest.mark.parametrize("spec", ALL_GPUS, ids=SPEC_IDS)
 def test_grid_and_scalar_campaigns_emit_identical_counters(spec):
     """Fault-free campaigns: same logical telemetry stream on both paths."""
-    kernels = build_suite()[:5]
-    configs = _sample_configs(spec, count=6)
-    recorders = {}
-    for use_grid in (True, False):
-        recorder = TraceRecorder()
-        session = ProfilingSession(SimulatedGPU(spec, recorder=recorder))
-        collect_training_dataset(session, kernels, configs, use_grid=use_grid)
-        recorders[use_grid] = recorder
-    assert _logical_counters(recorders[True]) == _logical_counters(
-        recorders[False]
+    columnar, scalar = _traced_campaigns(
+        spec, build_suite()[:5], _sample_configs(spec, count=6)
     )
+    assert _logical_counters(columnar) == _logical_counters(scalar)
     # The span trees agree shape-for-shape as well: cells are traced per
     # logical measurement, not per driver call.
-    assert recorders[True].span_tree() == recorders[False].span_tree()
+    assert columnar.span_tree() == scalar.span_tree()
 
 
 @pytest.mark.parametrize("spec", ALL_GPUS, ids=SPEC_IDS)
 def test_grid_and_scalar_campaigns_emit_identical_counters_under_faults(spec):
     """Under a seeded fault plan both paths observe the same fault stream,
     so retries, injected faults and degraded rows count identically.
-    Clock-set faults stay off — the grid path performs no clock-set driver
-    calls, making that class inherently path dependent."""
-    kernels = build_suite()[:6]
-    configs = spec.all_configurations()[:8]
-    counters = {}
-    for use_grid in (True, False):
-        plan = FaultPlan(
-            seed=20180224,
-            nvml_read_rate=0.05,
-            cupti_read_rate=0.05,
-            sample_dropout_rate=0.3,
-            thermal_throttle_rate=0.15,
-        )
-        recorder = TraceRecorder()
-        session = ProfilingSession(
-            SimulatedGPU(spec, fault_plan=plan, recorder=recorder)
-        )
-        collect_training_dataset(session, kernels, configs, use_grid=use_grid)
-        counters[use_grid] = _logical_counters(recorder)
-    assert counters[True] == counters[False]
-    assert counters[True].get("faults.injected", 0) > 0
+    Clock-set faults stay off — the columnar campaign performs no
+    clock-set driver calls, making that class inherently path dependent."""
+    plan = FaultPlan(
+        seed=20180224,
+        nvml_read_rate=0.05,
+        cupti_read_rate=0.05,
+        sample_dropout_rate=0.3,
+        thermal_throttle_rate=0.15,
+    )
+    columnar, scalar = _traced_campaigns(
+        spec, build_suite()[:6], spec.all_configurations()[:8], plan
+    )
+    assert _logical_counters(columnar) == _logical_counters(scalar)
+    assert _logical_counters(columnar).get("faults.injected", 0) > 0
+    assert columnar.span_tree() == scalar.span_tree()
 
 
 def test_estimator_identical_on_grid_and_scalar_datasets():
@@ -218,8 +233,8 @@ def test_estimator_identical_on_grid_and_scalar_datasets():
     fast = collect_training_dataset(
         ProfilingSession(SimulatedGPU(spec)), kernels, configs
     )
-    scalar = collect_training_dataset(
-        ProfilingSession(SimulatedGPU(spec)), kernels, configs, use_grid=False
+    scalar, _ = scalar_campaign(
+        ProfilingSession(SimulatedGPU(spec)), kernels, configs
     )
     _, report_fast = ModelEstimator(fast).estimate()
     _, report_scalar = ModelEstimator(scalar).estimate()

@@ -90,7 +90,7 @@ class TestHandleLifecycle:
             lambda: nvml.reset_application_clocks(),
             lambda: nvml.measure_power(kernel),
             lambda: nvml.measure_median_power(kernel),
-            lambda: nvml.measure_power_grid([kernel]),
+            lambda: nvml.measure_power_grid_columns([kernel]),
         ]
         for operation in operations:
             with pytest.raises(NVMLError) as excinfo:

@@ -1,26 +1,30 @@
-"""Differential harness for the sharded campaign executor (ISSUE 5).
+"""Differential harness for the measurement campaign, serial and sharded.
 
-The contract under test: :func:`repro.parallel.collect_campaign_sharded`
-must produce a :class:`~repro.core.dataset.TrainingDataset` **and** a
+The contract under test: :func:`repro.core.dataset.collect_campaign` —
+serial, or sharded over worker processes — must produce a
+:class:`~repro.core.dataset.TrainingDataset` **and** a
 :class:`~repro.core.dataset.CampaignReport` that compare ``==`` (dataclass
-field equality — floats bitwise, not approximately) against the serial
-:func:`~repro.core.dataset.collect_campaign`, for
+field equality — floats bitwise, not approximately) against the scalar
+oracle (:func:`tests.oracles.scalar_campaign`), for
 
 * all three Table-II device specs,
-* worker counts 1, 2 and 4,
+* serial and worker counts 1, 2 and 4,
 * chaos off and on (an active transient :class:`~repro.driver.faults.FaultPlan`),
+* telemetry off and on — traced campaigns must also reproduce the oracle's
+  span tree and counters,
 * any shard size,
 
-plus hypothesis properties of the grid partition (shards are a disjoint
-cover, the merge is invariant under shard permutation), crash recovery
-(a dying worker degrades into the report's quality flags instead of
-aborting), and deterministic telemetry merging (the absorbed trace is a
-pure function of the workload, not of the worker count).
+plus the merge properties (shard results completing in any order merge to
+the same campaign; a block must cover the grid; crashed cells become
+skips), crash recovery (a dying worker degrades into the report's quality
+flags instead of aborting), deterministic telemetry merging (the absorbed
+trace is a pure function of the workload, not of the worker count) and the
+campaign's typed boundary errors.
 
 The matrix runs on a reduced (kernels x configs) tier so the whole file
 stays in tier-1 time; ``--runslow`` adds the full-suite, full-grid sweep.
 Because the reduced tier sits below the adaptive planner's
-``FALLBACK_MIN_CELLS`` threshold (ISSUE 6), every sharded call here pins
+``FALLBACK_MIN_CELLS`` threshold, every sharded call here pins
 ``fallback="never"`` — the point is to exercise the sharded executor, not
 the small-grid serial fallback (which has its own tests in
 ``test_parallel_transport.py``).
@@ -28,13 +32,24 @@ the small-grid serial fallback (which has its own tests in
 
 from __future__ import annotations
 
+import random
+from concurrent.futures import Executor, Future
+
 import pytest
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.config import MASTER_SEED
-from repro.core.dataset import collect_campaign, collect_training_dataset
+from repro.core.dataset import (
+    KernelRowBlock,
+    collect_campaign,
+    collect_training_dataset,
+    fault_snapshot,
+    finish_campaign,
+    measure_kernel_rows,
+)
+from repro.driver import faults as faultlib
 from repro.driver.faults import FaultPlan
 from repro.driver.session import ProfilingSession
 from repro.errors import ValidationError
@@ -44,14 +59,11 @@ from repro.microbench import build_suite
 from repro.parallel import (
     DeviceSpec,
     collect_campaign_sharded,
-    covered_cells,
-    measure_shard,
-    merge_measurements,
-    partition_grid,
     partition_kernel_rows,
+    resolve_workers,
 )
-from repro.parallel.executor import _shard_groups
 from repro.telemetry import TraceRecorder
+from tests.oracles import oracle_plan, scalar_campaign
 
 SPECS = {
     "Titan Xp": TITAN_XP,
@@ -59,8 +71,8 @@ SPECS = {
     "Tesla K40c": TESLA_K40C,
 }
 CHAOS_RATE = 0.05
-#: Reduced tier: enough kernels to span several shards and chunk
-#: boundaries, enough configs to exercise the grid path.
+#: Reduced tier: enough kernels to span several shards, enough configs to
+#: exercise the batched grid measurement.
 TIER_KERNELS = 10
 TIER_CONFIGS = 8
 
@@ -80,10 +92,16 @@ def tier_configs(spec):
     return tuple(chosen)
 
 
-def make_session(spec, chaos: bool, recorder=None) -> ProfilingSession:
+def make_session(
+    spec, chaos: bool, recorder=None, oracle: bool = False
+) -> ProfilingSession:
+    """A fresh session; ``oracle`` drops the clock-set faults the scalar
+    walk would otherwise see (see :mod:`tests.oracles`)."""
     fault_plan = (
         FaultPlan.transient(CHAOS_RATE, seed=MASTER_SEED) if chaos else None
     )
+    if oracle:
+        fault_plan = oracle_plan(fault_plan)
     if recorder is None:
         gpu = SimulatedGPU(spec, fault_plan=fault_plan)
     else:
@@ -91,37 +109,62 @@ def make_session(spec, chaos: bool, recorder=None) -> ProfilingSession:
     return ProfilingSession(gpu)
 
 
+#: Counters whose values legitimately differ between two campaign paths:
+#: boards are rebuilt per task and the columnar measurement bypasses the
+#: per-cell run cache (run.*), and the virtual-backoff counter is a float
+#: running sum (grouping-sensitive in the last bits; the *report's*
+#: backoff_seconds is exact because the executor replays the global sleep
+#: sequence).
+_NON_PORTABLE_COUNTERS = ("run.", "backoff.")
+
+
+def _portable_counters(recorder):
+    return {
+        name: value
+        for name, value in recorder.counters().items()
+        if not name.startswith(_NON_PORTABLE_COUNTERS)
+    }
+
+
 @pytest.fixture(scope="module")
 def serial_results():
-    """Serial campaign per (device, chaos), computed once for the module."""
+    """Traced scalar-oracle campaign per (device, chaos), computed once:
+    ``(dataset, report, recorder)``."""
     cache = {}
 
     def result_for(device_name: str, chaos: bool):
         key = (device_name, chaos)
         if key not in cache:
             spec = SPECS[device_name]
-            session = make_session(spec, chaos)
-            cache[key] = collect_campaign(
+            recorder = TraceRecorder()
+            session = make_session(spec, chaos, recorder=recorder, oracle=True)
+            dataset, report = scalar_campaign(
                 session, tier_kernels(), tier_configs(spec)
             )
+            cache[key] = (dataset, report, recorder)
         return cache[key]
 
     return result_for
 
 
 # ----------------------------------------------------------------------
-# The differential matrix: 3 devices x workers {1, 2, 4} x chaos on/off
+# The differential matrix: 3 devices x {serial, workers 1, 2, 4} x chaos
+# on/off x telemetry on/off
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("device_name", sorted(SPECS))
-@pytest.mark.parametrize("workers", [1, 2, 4])
+@pytest.mark.parametrize("telemetry", [False, True], ids=["untraced", "traced"])
+@pytest.mark.parametrize("workers", [0, 1, 2, 4])
 @pytest.mark.parametrize("chaos", [False, True], ids=["clean", "chaos"])
 class TestShardedEqualsSerial:
     def test_dataset_and_report_bitwise_equal(
-        self, serial_results, device_name, workers, chaos
+        self, serial_results, device_name, workers, chaos, telemetry
     ):
         spec = SPECS[device_name]
-        serial_dataset, serial_report = serial_results(device_name, chaos)
-        session = make_session(spec, chaos)
+        oracle_dataset, oracle_report, oracle_trace = serial_results(
+            device_name, chaos
+        )
+        recorder = TraceRecorder() if telemetry else None
+        session = make_session(spec, chaos, recorder=recorder)
         dataset, report = collect_campaign(
             session,
             tier_kernels(),
@@ -131,13 +174,19 @@ class TestShardedEqualsSerial:
         )
         # Dataclass == compares every float bitwise: rows, utilizations,
         # quality flags, fault tallies and the virtual backoff total.
-        assert dataset == serial_dataset
-        assert report == serial_report
+        assert dataset == oracle_dataset
+        assert report == oracle_report
+        if telemetry:
+            assert recorder.open_spans == 0
+            assert recorder.span_tree() == oracle_trace.span_tree()
+            assert _portable_counters(recorder) == _portable_counters(
+                oracle_trace
+            )
 
 
 @pytest.mark.parametrize("shard_size", [1, 7, 1000])
 def test_shard_size_never_changes_the_dataset(serial_results, shard_size):
-    serial_dataset, serial_report = serial_results("GTX Titan X", True)
+    serial_dataset, serial_report, _ = serial_results("GTX Titan X", True)
     session = make_session(GTX_TITAN_X, True)
     dataset, report = collect_campaign(
         session,
@@ -152,7 +201,7 @@ def test_shard_size_never_changes_the_dataset(serial_results, shard_size):
 
 
 def test_collect_training_dataset_threads_workers(serial_results):
-    serial_dataset, _ = serial_results("Tesla K40c", False)
+    serial_dataset, _, _ = serial_results("Tesla K40c", False)
     session = make_session(TESLA_K40C, False)
     dataset = collect_training_dataset(
         session,
@@ -178,151 +227,144 @@ def test_full_grid_full_suite_equivalence():
 
 
 # ----------------------------------------------------------------------
-# Partition properties
-# ----------------------------------------------------------------------
-class TestPartitionProperties:
-    @given(
-        n_kernels=st.integers(min_value=0, max_value=40),
-        n_configs=st.integers(min_value=0, max_value=40),
-        shard_size=st.integers(min_value=1, max_value=120),
-    )
-    @settings(max_examples=200, deadline=None)
-    def test_shards_are_a_disjoint_cover(
-        self, n_kernels, n_configs, shard_size
-    ):
-        shards = partition_grid(n_kernels, n_configs, shard_size)
-        cells = [cell for shard in shards for cell in shard.cells]
-        # Disjoint: no cell appears twice. Cover: every grid cell appears.
-        assert len(cells) == len(set(cells)) == n_kernels * n_configs
-        assert set(covered_cells(shards)) == {
-            (k, c) for k in range(n_kernels) for c in range(n_configs)
-        }
-
-    @given(
-        n_kernels=st.integers(min_value=1, max_value=40),
-        n_configs=st.integers(min_value=1, max_value=40),
-        shard_size=st.integers(min_value=1, max_value=120),
-    )
-    @settings(max_examples=200, deadline=None)
-    def test_shards_are_contiguous_and_indexed(
-        self, n_kernels, n_configs, shard_size
-    ):
-        shards = partition_grid(n_kernels, n_configs, shard_size)
-        assert [shard.index for shard in shards] == list(range(len(shards)))
-        # Every shard but the last is exactly shard_size cells; the
-        # flattened order is kernel-major.
-        flattened = [cell for shard in shards for cell in shard.cells]
-        assert flattened == [
-            (k, c) for k in range(n_kernels) for c in range(n_configs)
-        ]
-        for shard in shards[:-1]:
-            assert len(shard) == shard_size
-
-    def test_partition_rejects_bad_arguments(self):
-        with pytest.raises(ValidationError):
-            partition_grid(-1, 4)
-        with pytest.raises(ValidationError):
-            partition_grid(4, -1)
-        with pytest.raises(ValidationError):
-            partition_grid(4, 4, 0)
-
-
-# ----------------------------------------------------------------------
 # Merge properties
 # ----------------------------------------------------------------------
+class _ShuffledFuture(Future):
+    def __init__(self, executor: "ShuffledExecutor") -> None:
+        super().__init__()
+        self._executor = executor
+
+    def result(self, timeout=None):
+        self._executor.drain()
+        return super().result(timeout)
+
+
+class ShuffledExecutor(Executor):
+    """In-process executor completing its futures in a seeded random order.
+
+    Submitted tasks wait until some future's result is first asked for;
+    then every pending task runs, in a shuffled order (submission order
+    without a seed), so the executor's shard-order consumption sees
+    futures that completed out of order.
+    """
+
+    def __init__(self, seed=None) -> None:
+        self._rng = None if seed is None else random.Random(seed)
+        self._pending = []
+        self.completed = []
+
+    def submit(self, fn, *args, **kwargs):
+        future = _ShuffledFuture(self)
+        self._pending.append((len(self._pending), future, fn, args, kwargs))
+        return future
+
+    def drain(self) -> None:
+        pending, self._pending = self._pending, []
+        if self._rng is not None:
+            self._rng.shuffle(pending)
+        for index, future, fn, args, kwargs in pending:
+            try:
+                future.set_result(fn(*args, **kwargs))
+            except Exception as error:
+                future.set_exception(error)
+            self.completed.append(index)
+
+
+def _shuffled_campaign(seed: int):
+    recorder = TraceRecorder()
+    session = make_session(TESLA_K40C, True, recorder=recorder)
+    executor = ShuffledExecutor(seed)
+    dataset, report = collect_campaign_sharded(
+        session,
+        tier_kernels(),
+        tier_configs(TESLA_K40C),
+        workers=2,
+        shard_size=len(tier_configs(TESLA_K40C)),
+        executor=executor,
+    )
+    return dataset, report, recorder, executor.completed
+
+
 @pytest.fixture(scope="module")
-def shard_results():
-    """Real per-shard results of a small chaos campaign, run in-process."""
+def merge_inputs():
+    """One chaos campaign's block, measured in-process, plus its grid."""
     spec = TESLA_K40C
     kernels = tier_kernels()
     configs = tier_configs(spec)
     session = make_session(spec, True)
-    device = DeviceSpec.from_session(session)
-    # Phase 1, serially: utilizations per kernel.
-    from repro.core.metrics import MetricCalculator
+    return session, kernels, configs, measure_kernel_rows(
+        session, kernels, configs
+    )
 
-    calculator = MetricCalculator(spec)
-    utilization_by_kernel = {
-        kernel.name: calculator.utilizations(session.collect_events(kernel))
-        for kernel in kernels
-    }
-    shards = partition_grid(len(kernels), len(configs), 7)
-    results = [
-        measure_shard(
-            device, shard.index, _shard_groups(shard, kernels, configs)
+
+def _finish(session, kernels, configs, block):
+    with session.recorder.span("campaign") as span:
+        return finish_campaign(
+            session, kernels, configs, block, span, fault_snapshot(session)
         )
-        for shard in shards
-    ]
-    return kernels, configs, utilization_by_kernel, results
 
 
 class TestMergeProperties:
     @given(seed=st.integers(min_value=0, max_value=2**31 - 1))
     @settings(max_examples=20, deadline=None)
     def test_merge_is_invariant_under_shard_permutation(
-        self, shard_results, seed
+        self, serial_results, seed
     ):
-        import random
+        oracle_dataset, oracle_report, _ = serial_results("Tesla K40c", True)
+        _, _, in_order, _ = _shuffled_campaign(None)
+        dataset, report, recorder, completed = _shuffled_campaign(seed)
+        assert sorted(completed) == list(range(TIER_KERNELS))
+        assert dataset == oracle_dataset
+        assert report == oracle_report
+        assert _normalized_trace(recorder) == _normalized_trace(in_order)
+        assert recorder.counters() == in_order.counters()
 
-        kernels, configs, utilizations, results = shard_results
-        baseline = merge_measurements(
-            kernels,
-            configs,
-            utilizations,
-            {cell: m for result in results for cell, m in result.measurements},
+    def test_merge_requires_full_cover(self, merge_inputs):
+        session, kernels, configs, block = merge_inputs
+        short = KernelRowBlock(
+            utilizations=block.utilizations,
+            watts=block.watts[:-1],
+            core_mhz=block.core_mhz[:-1],
+            memory_mhz=block.memory_mhz[:-1],
+            quality=block.quality[:-1],
         )
-        order = list(results)
-        random.Random(seed).shuffle(order)
-        cell_measurements = {}
-        for result in order:
-            cell_measurements.update(dict(result.measurements))
-        merged = merge_measurements(
-            kernels, configs, utilizations, cell_measurements
-        )
-        assert merged == baseline
+        with pytest.raises(ValidationError, match="does not cover"):
+            _finish(session, kernels, configs, short)
 
-    def test_merge_requires_full_cover(self, shard_results):
-        kernels, configs, utilizations, results = shard_results
-        cell_measurements = {
-            cell: m for result in results for cell, m in result.measurements
-        }
-        cell_measurements.pop((0, 0))
-        with pytest.raises(ValidationError, match="missing cell"):
-            merge_measurements(
-                kernels, configs, utilizations, cell_measurements
-            )
-
-    def test_crashed_cells_become_skips_not_errors(self, shard_results):
-        kernels, configs, utilizations, results = shard_results
-        cell_measurements = {
-            cell: m for result in results for cell, m in result.measurements
-        }
-        crashed = {(0, 0), (0, 1)}
-        rows, skipped = merge_measurements(
-            kernels, configs, utilizations, cell_measurements, crashed
+    def test_crashed_cells_become_skips_not_errors(self, merge_inputs):
+        session, kernels, configs, block = merge_inputs
+        assert block.utilizations[0] is not None
+        full_dataset, full_report = _finish(session, kernels, configs, block)
+        unreadable = faultlib.QUALITY_BITS[faultlib.UNREADABLE]
+        crashed_quality = block.quality.copy()
+        crashed_quality[:2] = unreadable
+        crashed = KernelRowBlock(
+            utilizations=block.utilizations,
+            watts=block.watts,
+            core_mhz=block.core_mhz,
+            memory_mhz=block.memory_mhz,
+            quality=crashed_quality,
         )
-        full_rows, full_skipped = merge_measurements(
-            kernels, configs, utilizations, cell_measurements
-        )
-        assert {(name, config) for name, config in skipped} >= {
-            (kernels[0].name, configs[0]),
-            (kernels[0].name, configs[1]),
-        }
-        assert len(skipped) == len(full_skipped) + len(
-            crashed
-        ) - sum(
-            1
-            for name, config in full_skipped
-            if name == kernels[0].name and config in configs[:2]
-        )
-        # Surviving rows are untouched, bitwise.
+        dataset, report = _finish(session, kernels, configs, crashed)
         crashed_keys = {(kernels[0].name, configs[0]), (kernels[0].name, configs[1])}
+        assert set(report.skipped_cells) == (
+            set(full_report.skipped_cells) | crashed_keys
+        )
+        # Surviving rows are untouched, bitwise: the full campaign's rows
+        # map one-to-one onto its readable cells, in grid order.
+        n_configs = len(configs)
+        readable = [
+            cell
+            for cell in range(len(block.quality))
+            if block.utilizations[cell // n_configs] is not None
+            and not block.quality[cell] & unreadable
+        ]
         expected = [
             row
-            for row in full_rows
-            if (row.kernel_name, row.config) not in crashed_keys
+            for row, cell in zip(full_dataset.rows, readable)
+            if cell >= 2
         ]
-        assert list(rows) == expected
+        assert list(dataset.rows) == expected
 
 
 # ----------------------------------------------------------------------
@@ -331,7 +373,7 @@ class TestMergeProperties:
 class TestCrashRecovery:
     def test_failed_shard_degrades_into_report_flags(self, serial_results):
         spec = TESLA_K40C
-        serial_dataset, serial_report = serial_results("Tesla K40c", False)
+        serial_dataset, _, _ = serial_results("Tesla K40c", False)
         session = make_session(spec, False)
         configs = tier_configs(spec)
         dataset, report = collect_campaign_sharded(
@@ -376,9 +418,7 @@ class TestCrashRecovery:
     def test_every_shard_failing_raises(self):
         spec = TESLA_K40C
         session = make_session(spec, False)
-        shards = partition_grid(
-            TIER_KERNELS, len(tier_configs(spec)), len(tier_configs(spec))
-        )
+        shards = partition_kernel_rows(TIER_KERNELS, 1)
         with pytest.raises(ValidationError, match="no usable rows"):
             collect_campaign_sharded(
                 session,
@@ -397,10 +437,51 @@ class TestCrashRecovery:
             )
         with pytest.raises(ValidationError):
             collect_campaign_sharded(session, [], workers=2)
-        with pytest.raises(ValidationError, match="grid path"):
-            collect_campaign(
-                session, tier_kernels(), use_grid=False, workers=2
-            )
+
+
+def _serial(session, configs):
+    return collect_campaign(session, tier_kernels(), configs)
+
+
+def _sharded(session, configs):
+    return collect_campaign(
+        session, tier_kernels(), configs, workers=2, fallback="never"
+    )
+
+
+@pytest.mark.parametrize(
+    "call, match",
+    [
+        pytest.param(
+            lambda s: collect_campaign(s, tier_kernels(), fallback="bogus"),
+            "fallback",
+            id="serial-fallback-mode",
+        ),
+        pytest.param(
+            lambda s: collect_campaign(s, tier_kernels(), workers=1.5),
+            "workers",
+            id="campaign-fractional-workers",
+        ),
+        pytest.param(
+            lambda s: resolve_workers(1.5), "workers", id="fractional"
+        ),
+        pytest.param(lambda s: resolve_workers(True), "workers", id="bool"),
+        # Serial and sharded campaigns reject an empty grid identically.
+        pytest.param(
+            lambda s: _serial(s, []),
+            "^no configurations",
+            id="serial-no-configs",
+        ),
+        pytest.param(
+            lambda s: _sharded(s, []),
+            "^no configurations",
+            id="sharded-no-configs",
+        ),
+    ],
+)
+def test_boundary_inputs_raise_validation_error(call, match):
+    with pytest.raises(ValidationError, match=match):
+        call(make_session(TESLA_K40C, False))
 
 
 # ----------------------------------------------------------------------
@@ -425,22 +506,6 @@ def _normalized_trace(recorder):
             )
         )
     return spans
-
-
-#: Counters whose values legitimately differ between the serial campaign
-#: and the sharded one: workers rebuild boards per task (run cache), and
-#: the virtual-backoff counter is a float running sum (grouping-sensitive
-#: in the last bits; the *report's* backoff_seconds is exact because the
-#: executor replays the global sleep sequence).
-_NON_PORTABLE_COUNTERS = ("run.cache_hits", "run.cache_misses", "backoff.")
-
-
-def _portable_counters(recorder):
-    return {
-        name: value
-        for name, value in recorder.counters().items()
-        if not name.startswith(_NON_PORTABLE_COUNTERS)
-    }
 
 
 class TestTelemetryMerge:

@@ -10,7 +10,7 @@ from repro.hardware.specs import FrequencyConfig, GTX_TITAN_X
 from repro.runtime.manager import OnlineDVFSManager
 from repro.runtime.policies import EnergyPolicy, PowerCapPolicy, StaticPolicy
 from repro.runtime.trace import ApplicationTrace, TracePhase, TraceReport
-from repro.workloads import workload_by_name
+from repro.workloads import all_workloads, workload_by_name
 
 
 @pytest.fixture(scope="module")
@@ -53,6 +53,28 @@ class TestTraceStructures:
 
 
 class TestPlanning:
+    def test_prefetched_plans_equal_serial_plans(self, lab):
+        """Worker-profiled plans (the campaign's shard task, profiling
+        only) match plans built by profiling in-process, kernel by
+        kernel — across more kernels than one shard holds."""
+        device = "GTX Titan X"
+
+        def fresh_manager():
+            return OnlineDVFSManager(
+                lab.model(device),
+                lab.session(device),
+                EnergyPolicy(max_slowdown=1.10),
+            )
+
+        kernels = all_workloads()[:6]
+        prefetched = fresh_manager().prefetch_plans(kernels, workers=2)
+        serial = fresh_manager()
+        assert [plan.kernel_name for plan in prefetched] == [
+            kernel.name for kernel in kernels
+        ]
+        for plan, kernel in zip(prefetched, kernels):
+            assert plan == serial.plan_for(kernel)
+
     def test_plans_are_cached_per_kernel(self, manager):
         kernel = workload_by_name("gemm")
         assert manager.plan_for(kernel) is manager.plan_for(kernel)

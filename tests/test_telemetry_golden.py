@@ -46,13 +46,12 @@ GOLDEN = {
             "cupti.collections": 6.0,
             "estimator.iterations": 46.0,
             "rows.collected": 36.0,
-            "run.cache_hits": 6.0,
-            "run.cache_misses": 45.0,
+            "run.cache_misses": 6.0,
         },
         "ticks": 192,
         "sha256": (
-            "11ddf6074f75f52cdab6c3d9a118c04d"
-            "e82e08baece992210b9f04ae8b8884b4"
+            "a74bad8bf223dc6d3fdb4ef14235cf8a"
+            "c4fc6b8e685c3a3e20350d4bb5c59629"
         ),
     },
     "GTX Titan X": {
@@ -68,13 +67,12 @@ GOLDEN = {
             "cupti.collections": 6.0,
             "estimator.iterations": 17.0,
             "rows.collected": 36.0,
-            "run.cache_hits": 6.0,
-            "run.cache_misses": 44.0,
+            "run.cache_misses": 6.0,
         },
         "ticks": 134,
         "sha256": (
-            "87372e12e7f6724af8e9af22a517f6be"
-            "82d27818bbdee5f6160faf469d2814bc"
+            "19a0280b8bd9de0e0d0de2c1d6c2cb17"
+            "755984a8ed499a8c86176eee47175161"
         ),
     },
     "Tesla K40c": {
@@ -90,13 +88,12 @@ GOLDEN = {
             "cupti.collections": 6.0,
             "estimator.iterations": 13.0,
             "rows.collected": 24.0,
-            "run.cache_hits": 6.0,
-            "run.cache_misses": 28.0,
+            "run.cache_misses": 6.0,
         },
         "ticks": 102,
         "sha256": (
-            "438cb831262a78c809f63ac68c839c34"
-            "937ee73fc2660cc08740607c511d7863"
+            "e3e309837a0b722f859f6cf7d575b881"
+            "6b3a243a336210c123abbfbe51407d3c"
         ),
     },
 }
