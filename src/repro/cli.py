@@ -34,7 +34,7 @@ from repro.core.estimation import fit_power_model
 from repro.core.metrics import MetricCalculator
 from repro.driver.faults import FaultPlan
 from repro.driver.session import ProfilingSession
-from repro.errors import ReproError
+from repro.errors import ReproError, ValidationError
 from repro.hardware.gpu import SimulatedGPU
 from repro.hardware.specs import ALL_GPUS, FrequencyConfig, gpu_spec_by_name
 from repro.reporting.tables import format_kv, format_table
@@ -643,6 +643,10 @@ def cmd_cluster(args: argparse.Namespace) -> int:
 
     from repro.benchmarking import BenchmarkRegression
 
+    for flag, value in (("--nodes", args.nodes), ("--jobs", args.jobs)):
+        if value is not None and value < 1:
+            raise ValidationError(f"{flag} must be at least 1, got {value}")
+
     if args.bench:
         from repro.cluster.bench import run_cluster_bench
 
@@ -690,13 +694,14 @@ def cmd_cluster(args: argparse.Namespace) -> int:
     if args.quick:
         kernels = kernels[:QUICK_WORKLOADS]
     oracles = build_oracles(kernels, lab=lab)
-    nodes = build_fleet(oracles, default_mix(args.nodes or 20))
+    n_nodes = 20 if args.nodes is None else args.nodes
+    nodes = build_fleet(oracles, default_mix(n_nodes))
     references = fleet_reference_seconds(
         [oracles[device] for device in sorted(oracles)], kernels
     )
     trace = generate_job_trace(
         args.shape,
-        args.jobs or 240,
+        240 if args.jobs is None else args.jobs,
         args.seed,
         kernels,
         references,

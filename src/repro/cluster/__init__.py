@@ -20,6 +20,8 @@ Layout:
 * :mod:`~repro.cluster.schedulers` — max-clocks FIFO baseline,
   energy-greedy placement, deadline-aware EDF, and a power-capped
   variant reusing :mod:`repro.runtime.policies`;
+* :mod:`~repro.cluster.state` — the incrementally maintained free-node
+  pools and pending queue the schedulers read;
 * :mod:`~repro.cluster.faults` — seeded node failure/recovery plans
   (the chaos layer's discipline at fleet scale);
 * :mod:`~repro.cluster.simulator` — the virtual-time event loop,

@@ -1,13 +1,15 @@
 """Pluggable fleet schedulers: who runs next, where, and at what clocks.
 
-A scheduler sees the pending queue, the free nodes and the virtual clock,
-and returns assignments — each one a (job, node, V-F configuration)
-triple plus the model's predictions for it. All decisions run on the
-shared :class:`~repro.cluster.node.DeviceOracle` tables, so evaluating a
+A scheduler sees the pending queue, the free nodes and the virtual clock
+— the simulator's :class:`~repro.cluster.state.PendingJobs` and
+:class:`~repro.cluster.state.FreeNodes` views, read-only — and returns
+assignments: each one a (job, node, V-F configuration) triple plus the
+model's predictions for it. All decisions run on the shared
+:class:`~repro.cluster.node.DeviceOracle` tables, so placing a job on a
 fleet of thousands of nodes costs one lookup per *device type*, not per
-node; within a type, nodes are interchangeable and the name-sorted first
-free node is taken (a deterministic tie-break, like every other ordering
-here).
+node: within a type, nodes are interchangeable and the name-first free
+node not yet used in this call is taken (a per-device cursor over the
+free pool; a deterministic tie-break, like every other ordering here).
 
 The four strategies:
 
@@ -32,11 +34,12 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Iterable, List, Optional, Tuple
 
 from repro.analysis.dvfs import ConfigurationScore
 from repro.cluster.jobs import Job
 from repro.cluster.node import EnergyFrontier, GPUNode
+from repro.cluster.state import FreeNodes, PendingJobs
 from repro.errors import ValidationError
 from repro.runtime.policies import EnergyPolicy, PowerCapPolicy
 
@@ -70,44 +73,60 @@ class Assignment:
         return self.score.energy_joules * self.job.invocations
 
 
-def _device_groups(
-    free_nodes: Sequence[GPUNode],
-) -> List[Tuple[str, List[GPUNode]]]:
-    """Free nodes bucketed by device type, everything name-sorted."""
-    buckets: Dict[str, List[GPUNode]] = {}
-    for node in free_nodes:
-        buckets.setdefault(node.device_name, []).append(node)
-    return [
-        (device, sorted(buckets[device], key=lambda n: n.name))
-        for device in sorted(buckets)
-    ]
-
-
 class Scheduler(abc.ABC):
     """Strategy interface: turn (pending, free, now) into assignments.
 
-    Implementations must be pure functions of their arguments and their
-    own configuration — no wall clock, no unseeded randomness — so that
-    same-seed simulations replay bitwise-identically.
+    ``pending`` and ``free_nodes`` are the simulator's live
+    :class:`~repro.cluster.state.PendingJobs` and
+    :class:`~repro.cluster.state.FreeNodes` views: read them, never
+    mutate them. Implementations must be pure functions of their
+    arguments and their own configuration — no wall clock, no unseeded
+    randomness — so that same-seed simulations replay bitwise-identically.
     """
 
     name: str = "scheduler"
 
     @abc.abstractmethod
     def dispatch(
-        self, pending: Sequence[Job], free_nodes: Sequence[GPUNode], now: float
+        self, pending: PendingJobs, free_nodes: FreeNodes, now: float
     ) -> List[Assignment]:
         """Assignments for distinct pending jobs on distinct free nodes."""
 
 
-def _fifo(pending: Sequence[Job]) -> List[Job]:
-    return sorted(pending, key=lambda job: (job.arrival_s, job.job_id))
+def _place(
+    jobs: Iterable[Job],
+    free_nodes: FreeNodes,
+    rank: Callable[[Job, GPUNode], Tuple[tuple, ConfigurationScore]],
+) -> List[Assignment]:
+    """Place ``jobs`` in order, each on the device type ``rank`` prefers.
 
-
-def _edf(pending: Sequence[Job]) -> List[Job]:
-    return sorted(
-        pending, key=lambda job: (job.deadline_s, job.arrival_s, job.job_id)
-    )
+    Per device type a cursor walks its free pool: ``rank(job, node)``
+    scores the first node not yet used in this call as ``(key, score)``,
+    the lowest ``(key, device)`` wins and that device's cursor advances.
+    The walk ends when every free node is used.
+    """
+    fleet = free_nodes.fleet
+    pools = free_nodes.pools()
+    cursors = [0] * len(pools)
+    left = len(free_nodes)
+    assignments: List[Assignment] = []
+    for job in jobs:
+        if not left:
+            break
+        best = None
+        for slot, (device, pool) in enumerate(pools):
+            at = cursors[slot]
+            if at == len(pool):
+                continue
+            node = fleet[pool[at]]
+            key, score = rank(job, node)
+            if best is None or (key, device) < best[:2]:
+                best = (key, device, slot, node, score)
+        _, _, slot, node, score = best
+        cursors[slot] += 1
+        left -= 1
+        assignments.append(Assignment(job=job, node=node, score=score))
+    return assignments
 
 
 class MaxClocksFifoScheduler(Scheduler):
@@ -116,10 +135,10 @@ class MaxClocksFifoScheduler(Scheduler):
     name = "max-clocks"
 
     def dispatch(self, pending, free_nodes, now):
+        fleet = free_nodes.fleet
         assignments: List[Assignment] = []
-        queue = _fifo(pending)
-        nodes = sorted(free_nodes, key=lambda n: n.name)
-        for job, node in zip(queue, nodes):
+        for job, index in zip(pending.fifo(), free_nodes.in_name_order()):
+            node = fleet[index]
             score = node.oracle.score_at(job.kernel, node.spec.max_configuration)
             assignments.append(Assignment(job=job, node=node, score=score))
         return assignments
@@ -139,26 +158,13 @@ class EnergyGreedyScheduler(Scheduler):
     name: str = field(default="energy-greedy", init=False)
 
     def dispatch(self, pending, free_nodes, now):
-        assignments: List[Assignment] = []
-        groups = _device_groups(free_nodes)
         policy = EnergyPolicy(max_slowdown=self.max_slowdown)
-        for job in _fifo(pending):
-            best: Optional[Tuple[float, str, ConfigurationScore]] = None
-            for device, nodes in groups:
-                if not nodes:
-                    continue
-                plan = nodes[0].oracle.manager(policy).plan_for(job.kernel)
-                candidate = (plan.chosen.energy_joules, device, plan.chosen)
-                if best is None or candidate[:2] < best[:2]:
-                    best = candidate
-            if best is None:
-                break
-            _, device, score = best
-            nodes = dict(groups)[device]
-            assignments.append(
-                Assignment(job=job, node=nodes.pop(0), score=score)
-            )
-        return assignments
+
+        def rank(job, node):
+            chosen = node.oracle.manager(policy).plan_for(job.kernel).chosen
+            return (chosen.energy_joules,), chosen
+
+        return _place(pending.fifo(), free_nodes, rank)
 
 
 class DeadlineAwareEdfScheduler(Scheduler):
@@ -177,34 +183,17 @@ class DeadlineAwareEdfScheduler(Scheduler):
         return node.oracle.frontier(job.kernel)
 
     def dispatch(self, pending, free_nodes, now):
-        assignments: List[Assignment] = []
-        groups = _device_groups(free_nodes)
-        for job in _edf(pending):
+        def rank(job, node):
+            frontier = self._frontier(node, job)
             budget = (job.deadline_s - now) / job.invocations
-            feasible: Optional[Tuple[float, str, ConfigurationScore]] = None
-            fallback: Optional[Tuple[float, str, ConfigurationScore]] = None
-            for device, nodes in groups:
-                if not nodes:
-                    continue
-                frontier = self._frontier(nodes[0], job)
-                score = frontier.best_within(budget)
-                if score is not None:
-                    candidate = (score.energy_joules, device, score)
-                    if feasible is None or candidate[:2] < feasible[:2]:
-                        feasible = candidate
-                fastest = frontier.fastest
-                candidate = (fastest.time_seconds, device, fastest)
-                if fallback is None or candidate[:2] < fallback[:2]:
-                    fallback = candidate
-            chosen = feasible or fallback
-            if chosen is None:
-                break
-            _, device, score = chosen
-            nodes = dict(groups)[device]
-            assignments.append(
-                Assignment(job=job, node=nodes.pop(0), score=score)
-            )
-        return assignments
+            score = frontier.best_within(budget)
+            if score is not None:
+                return (0, score.energy_joules), score
+            # Tier 1 (least lateness) wins only if no device is feasible.
+            fastest = frontier.fastest
+            return (1, fastest.time_seconds), fastest
+
+        return _place(pending.edf(), free_nodes, rank)
 
 
 @dataclass

@@ -17,11 +17,14 @@ Four event kinds drive it:
   is charged for the energy it burned and its job is *rescheduled*;
 * **recover** — the node returns and the next failure is drawn.
 
-After every event the pluggable scheduler sees (pending, free nodes,
-now) and dispatches; a dispatched job runs to completion at its chosen
-V-F configuration, charged at the device's measured power × time — the
-same accounting the online manager uses, so schedulers are graded
-against ground truth, not against their own predictions.
+The loop keeps the pending queue and the free-node pools as
+incrementally maintained :mod:`~repro.cluster.state` views, so an event
+costs O(log n) bookkeeping, not a fleet scan or a queue re-sort. After
+every event the pluggable scheduler sees (pending, free nodes, now)
+through those views and dispatches; a dispatched job runs to completion
+at its chosen V-F configuration, charged at the device's measured power
+× time — the same accounting the online manager uses, so schedulers are
+graded against ground truth, not against their own predictions.
 
 Telemetry flows through the standard recorder: one ``cluster.run`` span
 plus ``cluster.*`` counters (arrivals, dispatched, completed,
@@ -36,9 +39,10 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.cluster.faults import NodeFailurePlan
-from repro.cluster.jobs import Job, JobTrace
+from repro.cluster.jobs import JobTrace
 from repro.cluster.node import ActiveRun, GPUNode
 from repro.cluster.schedulers import Scheduler
+from repro.cluster.state import FreeNodes, PendingJobs
 from repro.errors import ValidationError
 from repro.telemetry.recorder import NULL_RECORDER, TelemetryRecorder
 
@@ -169,7 +173,8 @@ class ClusterSimulator:
     # ------------------------------------------------------------------
     def run(self, trace: JobTrace) -> ClusterReport:
         """Execute the trace to completion; returns the full report."""
-        for node in self.nodes:
+        nodes = self.nodes
+        for node in nodes:
             node.reset()
 
         heap: List[Tuple[float, int, int, tuple]] = []
@@ -184,15 +189,15 @@ class ClusterSimulator:
             push(job.arrival_s, _ARRIVAL, (job,))
         streams = {}
         if self.failure_plan is not None:
-            for node in self.nodes:
+            for index, node in enumerate(nodes):
                 rng = self.failure_plan.stream(node.name)
-                streams[node.name] = rng
+                streams[index] = rng
                 push(
-                    self.failure_plan.time_to_failure(rng), _FAIL, (node,)
+                    self.failure_plan.time_to_failure(rng), _FAIL, (index,)
                 )
 
-        pending: List[Job] = []
-        pending_ids: set = set()
+        pending = PendingJobs()
+        free = FreeNodes(nodes, nodes)
         attempts: Dict[int, int] = {}
         records: List[JobRecord] = []
         energy_by_device: Dict[str, float] = {}
@@ -217,7 +222,7 @@ class ClusterSimulator:
         with recorder.span(
             "cluster.run",
             scheduler=self.scheduler.name,
-            nodes=len(self.nodes),
+            nodes=len(nodes),
             jobs=total,
         ) as run_span:
             while len(records) < total:
@@ -230,17 +235,18 @@ class ClusterSimulator:
 
                 if kind == _ARRIVAL:
                     (job,) = payload
-                    pending.append(job)
-                    pending_ids.add(job.job_id)
+                    pending.add(job)
                     attempts[job.job_id] = attempts.get(job.job_id, 0) + 1
                     recorder.add("cluster.arrivals")
 
                 elif kind == _COMPLETE:
-                    (node, epoch) = payload
+                    (index, epoch) = payload
+                    node = nodes[index]
                     if node.epoch != epoch or node.running is None:
                         continue  # Stale: the node failed mid-run.
                     run = node.running
                     node.running = None
+                    free.add(index)
                     node.jobs_completed += 1
                     charge(node, run.energy_joules)
                     job = run.job
@@ -266,45 +272,46 @@ class ClusterSimulator:
                         recorder.add("cluster.deadline_misses")
 
                 elif kind == _FAIL:
-                    (node,) = payload
+                    (index,) = payload
+                    node = nodes[index]
                     if node.online:
                         node.online = False
                         node.epoch += 1
                         node_failures += 1
                         recorder.add("cluster.node_failures")
-                        if node.running is not None:
+                        if node.running is None:
+                            free.remove(index)
+                        else:
                             run = node.running
                             node.running = None
                             # Charge the energy the doomed run burned.
                             elapsed = max(0.0, now - run.start_s)
                             charge(node, run.watts * elapsed)
-                            pending.append(run.job)
-                            pending_ids.add(run.job.job_id)
+                            pending.add(run.job)
                             attempts[run.job.job_id] += 1
                             rescheduled += 1
                             recorder.add("cluster.rescheduled")
-                        rng = streams[node.name]
+                        rng = streams[index]
                         push(
                             now + self.failure_plan.repair_time(rng),
                             _RECOVER,
-                            (node,),
+                            (index,),
                         )
 
                 elif kind == _RECOVER:
-                    (node,) = payload
-                    node.online = True
+                    (index,) = payload
+                    nodes[index].online = True  # A failure cleared its run.
+                    free.add(index)
                     recorder.add("cluster.node_recoveries")
-                    rng = streams[node.name]
+                    rng = streams[index]
                     push(
                         now + self.failure_plan.time_to_failure(rng),
                         _FAIL,
-                        (node,),
+                        (index,),
                     )
 
-                if pending:
-                    free = [node for node in self.nodes if node.is_free]
-                    if free:
-                        self._dispatch(pending, pending_ids, free, now, push)
+                if pending and free:
+                    self._dispatch(pending, free, now, push)
 
             run_span.set(
                 energy_joules=fleet_energy,
@@ -329,22 +336,22 @@ class ClusterSimulator:
 
     # ------------------------------------------------------------------
     def _dispatch(
-        self,
-        pending: List[Job],
-        pending_ids: set,
-        free: List[GPUNode],
-        now: float,
-        push,
+        self, pending: PendingJobs, free: FreeNodes, now: float, push
     ) -> None:
-        assignments = self.scheduler.dispatch(tuple(pending), tuple(free), now)
-        for assignment in assignments:
+        for assignment in self.scheduler.dispatch(pending, free, now):
             job, node = assignment.job, assignment.node
-            if job.job_id not in pending_ids:
+            if not pending.remove(job):
                 raise ValidationError(
                     f"scheduler {self.scheduler.name!r} dispatched job "
                     f"{job.job_id} which is not pending"
                 )
-            if not node.is_free:
+            index = free.position(node)
+            if index is None:
+                raise ValidationError(
+                    f"scheduler {self.scheduler.name!r} dispatched node "
+                    f"{node.name!r} which is not in this fleet"
+                )
+            if not free.remove(index):
                 raise ValidationError(
                     f"scheduler {self.scheduler.name!r} dispatched to busy "
                     f"or offline node {node.name!r}"
@@ -361,14 +368,8 @@ class ClusterSimulator:
                 watts=watts,
                 energy_joules=watts * duration,
             )
-            pending_ids.remove(job.job_id)
-            push(now + duration, _COMPLETE, (node, node.epoch))
+            push(now + duration, _COMPLETE, (index, node.epoch))
             self.recorder.add("cluster.dispatched")
-        if assignments:
-            dispatched = {a.job.job_id for a in assignments}
-            pending[:] = [
-                job for job in pending if job.job_id not in dispatched
-            ]
 
     def _device_mix(self) -> Tuple[Tuple[str, int], ...]:
         counts: Dict[str, int] = {}

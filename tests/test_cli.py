@@ -116,6 +116,24 @@ class TestCommands:
         assert report["jobs"] == 30
         assert len(report["records"]) == 30
 
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--nodes", "0"), ("--nodes", "-1"), ("--jobs", "0"), ("--jobs", "-5")],
+    )
+    @pytest.mark.parametrize("mode", [[], ["--bench"]], ids=["run", "bench"])
+    def test_cluster_rejects_non_positive_sizes(
+        self, tmp_path, capsys, flag, value, mode
+    ):
+        code = main(
+            ["cluster", "--quick", *mode, flag, value,
+             "--output", str(tmp_path / "cluster.json")]
+        )
+        assert code == 1
+        assert f"{flag} must be at least 1, got {value}" in (
+            capsys.readouterr().err
+        )
+        assert not (tmp_path / "cluster.json").exists()
+
     def test_fewshot_writes_report(self, tmp_path, capsys, monkeypatch):
         # One synthetic device keeps the verb fast; the full fleet (and
         # its gate) runs in the dedicated CI job.

@@ -11,6 +11,7 @@ without giving up deadline misses.
 
 from __future__ import annotations
 
+import hashlib
 import json
 
 import pytest
@@ -25,7 +26,7 @@ from repro.cluster import (
     scheduler_by_name,
 )
 from repro.cluster.node import EnergyFrontier, GPUNode
-from repro.cluster.schedulers import SCHEDULER_NAMES
+from repro.cluster.schedulers import SCHEDULER_NAMES, Assignment, Scheduler
 from repro.errors import ValidationError
 from repro.telemetry import TraceRecorder
 
@@ -92,6 +93,37 @@ class TestDeterminism:
         assert first.to_dict() == second.to_dict()
 
 
+#: SHA-256 of ``json.dumps(report.to_dict(), sort_keys=True)`` for this
+#: module's fleet and trace. Any drift in dispatch order, tie-breaks or
+#: accounting changes these bytes.
+GOLDEN_REPORT_SHA256 = {
+    "max-clocks": "a59f5a5fb189c8c15c1c7f3459a88d40b4eab5599660aef85a374cd68cfda8b5",
+    "energy-greedy": "5479d73f06081aaa95c5e4f27c1960da48c7a89f7601f055ff2a4199cd564172",
+    "edf": "734ffd470fd5b0aa30a3ae876aaa50110c3682fd8b6d4b55ca18c0afd61b936d",
+    "powercap-edf": "2a6db4e0a9280e7b1cae5a49dfefa0e1c57fae579380b849eeb0d7bc26ed940d",
+}
+GOLDEN_CHURN_EDF_SHA256 = (
+    "3c2f8e04a8e14dced6f7e3dfac91845c5d1e0b560eb06f4b8bc27690bdb38bea"
+)
+
+
+def report_sha256(report) -> str:
+    payload = json.dumps(report.to_dict(), sort_keys=True)
+    return hashlib.sha256(payload.encode()).hexdigest()
+
+
+class TestGoldenPin:
+    @pytest.mark.parametrize("name", SCHEDULER_NAMES)
+    def test_report_bytes_pinned(self, fleet, trace, name):
+        report = run_scheduler(fleet, trace, name)
+        assert report_sha256(report) == GOLDEN_REPORT_SHA256[name]
+
+    def test_churned_edf_report_bytes_pinned(self, fleet, trace):
+        plan = NodeFailurePlan(mtbf_s=0.15, mttr_s=0.05, seed=SEED)
+        report = run_scheduler(fleet, trace, "edf", failure_plan=plan)
+        assert report_sha256(report) == GOLDEN_CHURN_EDF_SHA256
+
+
 class TestCompletionAccounting:
     @pytest.mark.parametrize("name", SCHEDULER_NAMES)
     def test_every_job_completes_once(self, fleet, trace, name):
@@ -150,24 +182,30 @@ class TestSchedulerQuality:
         assert greedy.fleet_energy_joules < baseline.fleet_energy_joules
 
     def test_power_cap_respected_when_feasible(self, oracles, trace, fleet):
-        cap = 180.0
-        simulator = ClusterSimulator(
+        cap = 150.0
+        report = ClusterSimulator(
             fleet, scheduler_by_name("powercap-edf", cap_watts=cap)
-        )
-        report = simulator.run(trace)
+        ).run(trace)
+        uncapped = run_scheduler(fleet, trace, "edf")
         by_kernel = {job.kernel.name: job.kernel for job in trace.jobs}
         oracle_by_device = {
             oracle.device_name: oracle for oracle in oracles.values()
         }
-        for record in report.records:
+
+        def predicted_watts(record):
             oracle = oracle_by_device[record.device_name]
             kernel = by_kernel[record.kernel_name]
-            scores = oracle.scores(kernel)
-            chosen = oracle.score_at(
-                kernel, record_config(record, oracle)
-            )
+            config = record_config(record, oracle)
+            return oracle.score_at(kernel, config).predicted_power_watts
+
+        # The cap binds: plain EDF would break it, so capping changes runs.
+        assert any(predicted_watts(r) > cap for r in uncapped.records)
+        assert report.records != uncapped.records
+        for record in report.records:
+            oracle = oracle_by_device[record.device_name]
+            scores = oracle.scores(by_kernel[record.kernel_name])
             if any(s.predicted_power_watts <= cap for s in scores):
-                assert chosen.predicted_power_watts <= cap
+                assert predicted_watts(record) <= cap
 
 
 def record_config(record, oracle):
@@ -225,6 +263,41 @@ class TestValidation:
     def test_power_cap_must_be_positive(self):
         with pytest.raises(ValidationError):
             scheduler_by_name("powercap-edf", cap_watts=0.0)
+
+    def test_node_outside_the_fleet_rejected(self, fleet, trace):
+        impostor = GPUNode(fleet[0].name, fleet[0].oracle)
+        scheduler = _StubScheduler(lambda free_nodes: [impostor])
+        with pytest.raises(ValidationError, match="not in this fleet"):
+            ClusterSimulator(fleet, scheduler).run(trace)
+
+    def test_busy_node_rejected(self, fleet, trace):
+        def twice(free_nodes):
+            index = next(free_nodes.in_name_order())
+            return [free_nodes.fleet[index]] * 2
+
+        with pytest.raises(ValidationError, match="busy or offline"):
+            ClusterSimulator(fleet, _StubScheduler(twice)).run(trace)
+
+
+class _StubScheduler(Scheduler):
+    """Puts the EDF-first pending jobs on whatever ``pick`` returns."""
+
+    name = "stub"
+
+    def __init__(self, pick):
+        self.pick = pick
+
+    def dispatch(self, pending, free_nodes, now):
+        return [
+            Assignment(
+                job=job,
+                node=node,
+                score=node.oracle.score_at(
+                    job.kernel, node.spec.max_configuration
+                ),
+            )
+            for job, node in zip(pending.edf(), self.pick(free_nodes))
+        ]
 
 
 class TestEnergyFrontier:
